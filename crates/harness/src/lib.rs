@@ -13,8 +13,8 @@
 //! returns one [`SimReport`] per job **in job order**, regardless of
 //! how many worker threads ran them — reports are collected into slots
 //! indexed by job position, so downstream table rendering is
-//! byte-identical at any parallelism, and `--jobs 1` degenerates to a
-//! plain in-order loop on the calling thread.
+//! byte-identical at any parallelism. At `--jobs 1` a single worker
+//! runs the cells one at a time in submission order.
 //!
 //! ## Memoization
 //!
@@ -29,24 +29,26 @@
 //!
 //! ## Batched execution
 //!
-//! Workers are resident [`BatchRunner`]s: consecutive cells executed by
-//! one worker recycle a single engine arena and share fast-forward
-//! warmup checkpoints keyed by `(program, warmup_instructions)`, so a
-//! sweep pays for allocation and warmup once per worker rather than
-//! once per cell. Reports are byte-identical to the historical
-//! one-simulation-per-job path, which `CTCP_BATCH=off` restores for A/B
-//! timing; a configured [`Harness::job_timeout`] also falls back to it,
-//! because timed attempts run on detached threads.
+//! Every batch runs on a [`CellScheduler`]: the shared one attached
+//! with [`Harness::with_scheduler`] (the sweep service's resident
+//! pool), or else a private one sized to the batch, started for its
+//! pending cells and shut down when they are done. Scheduler workers
+//! are [`BatchRunner`]s: consecutive cells on one worker recycle a
+//! single engine arena, and consecutive cells sharing a program share
+//! its fast-forward warmup checkpoint, so a sweep pays for allocation
+//! and warmup once per worker and program rather than once per cell.
+//! Reports are byte-identical either way; `CTCP_BATCH=off` gives every
+//! cell a fresh runner, for A/B timing.
 //!
 //! ## Fault tolerance
 //!
 //! Every job runs behind an isolation boundary: a panic (simulator
-//! bug), a typed simulation abort (watchdog trip, cycle budget), an
-//! invalid configuration, or an optional wall-clock timeout fails
-//! *that job* — never the worker, never the batch. [`Harness::try_run`]
-//! returns one [`JobOutcome`] per job; transient failures (panics,
-//! timeouts) are retried with linear backoff ([`Harness::retries`]).
-//! The infallible [`Harness::run`] keeps its historical signature by
+//! bug), a typed simulation abort (watchdog trip, cycle budget), or an
+//! invalid configuration fails *that job* — never the worker, never
+//! the batch. [`Harness::try_run`] returns one [`JobOutcome`] per job;
+//! panics are retried with linear backoff ([`Harness::retries`]), and
+//! a key that keeps panicking is quarantined by its scheduler. The
+//! infallible [`Harness::run`] keeps its historical signature by
 //! panicking with the rendered [`failure_table`] — but only after the
 //! whole batch has run and every successful cell is in the store.
 //!
@@ -109,11 +111,11 @@ use std::io::Write;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Transient failures (panics, timeouts) are re-attempted this many
+/// Transient failures (panics) are re-attempted this many
 /// times by default; see [`Harness::retries`].
 pub const DEFAULT_RETRIES: u32 = 1;
 
@@ -153,34 +155,24 @@ impl Job {
         job_key(&self.workload, &self.config)
     }
 
-    /// Runs the cell, surfacing every way it can fail as a typed
-    /// [`JobError`] — an invalid configuration is a *job* defect, never
-    /// grounds to panic a shared worker thread. With `with_metrics`
-    /// set, a metrics-only [`Recorder`] rides along and the second
-    /// element is the rendered JSONL metrics line for this run. With
-    /// `with_attrib` set, the same recorder also accumulates the CPI
-    /// stack and per-instruction lifecycle records, and the report
-    /// comes back with `attrib` attached.
-    fn try_simulate(
+    /// Runs the cell through `runner`, surfacing every way it can fail
+    /// as a typed [`JobError`] — an invalid configuration is a *job*
+    /// defect, never grounds to panic a shared worker thread.
+    /// `program` is the job's own program: a worker passes the `Arc`
+    /// its runner is bound to, which is the same allocation. With
+    /// `with_metrics` set, a metrics-only [`Recorder`] rides along and
+    /// the second element is the rendered JSONL metrics line for this
+    /// run. With `with_attrib` set, the same recorder also accumulates
+    /// the CPI stack and per-instruction lifecycle records, and the
+    /// report comes back with `attrib` attached.
+    fn simulate<'p>(
         &self,
+        program: &'p Program,
+        runner: &mut BatchRunner<'p>,
         with_metrics: bool,
         with_attrib: bool,
     ) -> Result<(SimReport, Option<String>), JobError> {
-        self.try_simulate_with(None, with_metrics, with_attrib)
-    }
-
-    /// [`Job::try_simulate`] with an optional worker-local
-    /// [`BatchRunner`]: when one is passed, the simulation is built
-    /// through it so the engine arena is recycled across cells and the
-    /// fast-forward checkpoint for `(program, warmup)` is captured once
-    /// and reused. Reports are byte-identical either way — the runner
-    /// only changes *where* the engine's memory comes from.
-    fn try_simulate_with<'p>(
-        &'p self,
-        runner: Option<&mut BatchRunner<'p>>,
-        with_metrics: bool,
-        with_attrib: bool,
-    ) -> Result<(SimReport, Option<String>), JobError> {
+        debug_assert!(std::ptr::eq(program, &*self.program));
         // Fault injection: the `job-panic` fail point panics inside the
         // job body — exactly where a simulator bug would — so the
         // isolation layer can be exercised end-to-end. The optional
@@ -193,7 +185,7 @@ impl Job {
                 self.config.strategy.name()
             );
         }
-        let builder = Simulation::builder(&self.program).config(self.config);
+        let builder = Simulation::builder(program).config(self.config);
         if with_metrics || with_attrib {
             // One recorder serves both requests: metrics accumulate
             // unconditionally, lifecycle records only when asked for.
@@ -246,12 +238,6 @@ pub enum JobError {
     /// boundary so it cannot take the worker (or the batch) down.
     /// Treated as transient and retried.
     Panic(String),
-    /// The job exceeded the harness's per-job wall-clock timeout.
-    /// Treated as transient and retried.
-    Timeout {
-        /// The configured limit that was exceeded.
-        limit: Duration,
-    },
     /// The job's queued cell was dropped because the requesting client
     /// disconnected before a shared-pool worker picked it up. The
     /// result had no recipient; nothing was simulated. Never retried.
@@ -275,7 +261,7 @@ pub enum JobError {
 impl JobError {
     /// Whether a retry could plausibly change the outcome.
     fn is_transient(&self) -> bool {
-        matches!(self, JobError::Panic(_) | JobError::Timeout { .. })
+        matches!(self, JobError::Panic(_))
     }
 }
 
@@ -285,9 +271,6 @@ impl std::fmt::Display for JobError {
             JobError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             JobError::Sim(e) => write!(f, "simulation aborted: {e}"),
             JobError::Panic(msg) => write!(f, "panic: {msg}"),
-            JobError::Timeout { limit } => {
-                write!(f, "timed out after {:.1}s", limit.as_secs_f64())
-            }
             JobError::Cancelled => write!(f, "cancelled: client disconnected before the cell ran"),
             JobError::Saturated(s) => write!(f, "rejected: {s}"),
             JobError::CellPoisoned { panics } => {
@@ -385,98 +368,17 @@ pub fn failure_table(outcomes: &[JobOutcome]) -> Option<String> {
     Some(out)
 }
 
-/// One protected attempt at a job: panics are caught at this boundary
-/// and, when `timeout` is set, the attempt is abandoned after the
-/// limit. Abandonment is advisory — the simulation keeps running on a
-/// detached thread until its own watchdog or cycle budget stops it —
-/// but the *batch* moves on immediately.
-fn attempt(
-    job: &Job,
-    with_metrics: bool,
-    with_attrib: bool,
-    timeout: Option<Duration>,
-) -> Result<(SimReport, Option<String>), JobError> {
-    let protected = move |job: &Job| match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        job.try_simulate(with_metrics, with_attrib)
-    })) {
-        Ok(r) => r,
-        // `&*`: downcast the payload, not the box holding it.
-        Err(payload) => Err(JobError::Panic(panic_message(&*payload))),
-    };
-    let Some(limit) = timeout else {
-        return protected(job);
-    };
-    let (tx, rx) = mpsc::channel();
-    let detached = job.clone();
-    std::thread::spawn(move || {
-        let _ = tx.send(protected(&detached));
-    });
-    match rx.recv_timeout(limit) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(JobError::Timeout { limit }),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(JobError::Panic("job thread died without reporting".into()))
-        }
-    }
-}
-
-/// Runs a job with the retry policy: transient failures re-attempt up
-/// to `max_retries` times with linear backoff; deterministic failures
-/// return immediately. The second element is the number of retries
-/// actually performed.
-fn execute(
-    job: &Job,
-    with_metrics: bool,
-    with_attrib: bool,
-    timeout: Option<Duration>,
-    max_retries: u32,
-) -> (Result<(SimReport, Option<String>), JobError>, u32) {
-    let mut retries = 0;
-    loop {
-        match attempt(job, with_metrics, with_attrib, timeout) {
-            Ok(ok) => return (Ok(ok), retries),
-            Err(e) => {
-                if !e.is_transient() || retries >= max_retries {
-                    return (Err(e), retries);
-                }
-                retries += 1;
-                std::thread::sleep(RETRY_BACKOFF * retries);
-            }
-        }
-    }
-}
-
-/// Builds and runs one configured simulation, either through a
-/// [`BatchRunner`] (arena recycling + shared warmup checkpoints) or
-/// standalone, normalizing both failure shapes onto [`JobError`].
-fn run_builder<'p>(
-    runner: Option<&mut BatchRunner<'p>>,
-    builder: SimBuilder<'p>,
-) -> Result<SimReport, JobError> {
-    match runner {
-        Some(runner) => runner.try_run(builder).map_err(|e| match e {
-            BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
-            BatchError::Sim(s) => JobError::Sim(s),
-        }),
-        None => builder
-            .build()
-            .map_err(|e| JobError::InvalidConfig(e.to_string()))?
-            .try_run()
-            .map_err(JobError::Sim),
-    }
-}
-
-/// The batched counterpart of [`execute`]: runs `job` through a
-/// worker-local [`BatchRunner`] with the same retry policy and the same
-/// `catch_unwind` isolation boundary. A panic resets the runner — its
-/// arena and checkpoint may have been torn mid-flight — so the retry
-/// (and every later cell on this worker) starts from clean state.
-/// Timeouts are not supported here: the detached-thread timeout path
-/// would move the runner off-thread, so the harness falls back to
-/// [`execute`] whenever a job timeout is configured.
-fn execute_batched<'p>(
+/// Runs `job` through a worker's [`BatchRunner`] with the retry
+/// policy: a panic is caught at this `catch_unwind` boundary and
+/// re-attempted up to `max_retries` times with linear backoff;
+/// deterministic failures return immediately. A panic resets the
+/// runner — its arena and checkpoint may have been torn mid-flight — so
+/// the retry (and every later cell on this worker) starts from clean
+/// state. The second element is the number of retries performed.
+pub(crate) fn run_with_retries<'p>(
     runner: &mut BatchRunner<'p>,
-    job: &'p Job,
+    program: &'p Program,
+    job: &Job,
     with_metrics: bool,
     with_attrib: bool,
     max_retries: u32,
@@ -485,7 +387,7 @@ fn execute_batched<'p>(
     loop {
         let reborrow = &mut *runner;
         let result = match std::panic::catch_unwind(AssertUnwindSafe(move || {
-            job.try_simulate_with(Some(reborrow), with_metrics, with_attrib)
+            job.simulate(program, reborrow, with_metrics, with_attrib)
         })) {
             Ok(r) => r,
             Err(payload) => {
@@ -504,6 +406,19 @@ fn execute_batched<'p>(
             }
         }
     }
+}
+
+/// Builds and runs one configured simulation through a [`BatchRunner`]
+/// (arena recycling + shared warmup checkpoints), mapping its failure
+/// shape onto [`JobError`].
+fn run_builder<'p>(
+    runner: &mut BatchRunner<'p>,
+    builder: SimBuilder<'p>,
+) -> Result<SimReport, JobError> {
+    runner.try_run(builder).map_err(|e| match e {
+        BatchError::Config(c) => JobError::InvalidConfig(c.to_string()),
+        BatchError::Sim(s) => JobError::Sim(s),
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -554,7 +469,6 @@ pub struct Harness {
     metrics_file: Option<std::fs::File>,
     attrib: bool,
     retries: u32,
-    job_timeout: Option<Duration>,
     telemetry: Metrics,
     last: BatchStats,
 }
@@ -579,14 +493,15 @@ impl Harness {
             metrics_file: None,
             attrib: false,
             retries: DEFAULT_RETRIES,
-            job_timeout: None,
             telemetry: Metrics::new(),
             last: BatchStats::default(),
         }
     }
 
-    /// Sets the worker count. `0` means auto (available parallelism);
-    /// `1` runs every job in submission order on the calling thread.
+    /// Sets the worker count of the private scheduler a batch starts
+    /// when no shared one is attached. `0` means auto (available
+    /// parallelism); `1` runs the cells one at a time, in submission
+    /// order, on a single worker.
     pub fn jobs(mut self, n: usize) -> Harness {
         self.jobs = n;
         self
@@ -601,13 +516,14 @@ impl Harness {
     }
 
     /// Routes this harness's batches through a shared [`CellScheduler`]
-    /// instead of a private scoped worker pool. Cells are interleaved
-    /// fairly with every other request feeding the same pool; results,
-    /// store writes and progress still land on the calling thread in
-    /// the usual order, so outputs are byte-identical. A configured
-    /// [`Harness::job_timeout`] or `CTCP_BATCH=off` falls back to the
-    /// private pool (the scheduler's workers never run timed attempts).
-    /// Callers that configured an admission bound on the scheduler
+    /// instead of a private one started per batch. Cells are
+    /// interleaved fairly with every other request feeding the same
+    /// pool; results, store writes and progress still land on the
+    /// calling thread in the usual order, so outputs are
+    /// byte-identical. The shared pool's quarantine ledger outlives the
+    /// batch, so a key that exhausted its retries here is refused as
+    /// [`JobError::CellPoisoned`] by every later submission. Callers
+    /// that configured an admission bound on the scheduler
     /// should run batches via [`Harness::try_run_admitted`] to observe
     /// rejections as a typed [`Saturated`] instead of failed outcomes.
     pub fn with_scheduler(mut self, sched: CellScheduler) -> Harness {
@@ -626,35 +542,22 @@ impl Harness {
     }
 
     /// Attaches a cancellation token checked between cell completions
-    /// of a scheduled batch: once it reads `true`, the batch's
-    /// still-queued cells are dropped (running cells finish and are
-    /// memoized) and their outcomes come back as
-    /// [`JobError::Cancelled`]. The sweep service sets the token when
-    /// a client's connection breaks mid-stream. Ignored by the
-    /// private-pool path, which always runs a batch to completion.
+    /// of a batch: once it reads `true`, the batch's still-queued cells
+    /// are dropped (running cells finish and are memoized) and their
+    /// outcomes come back as [`JobError::Cancelled`]. The sweep service
+    /// sets the token when a client's connection breaks mid-stream.
     pub fn cancel_token(mut self, token: Arc<std::sync::atomic::AtomicBool>) -> Harness {
         self.cancel = Some(token);
         self
     }
 
-    /// Sets how many times a *transient* job failure (panic, timeout)
-    /// is re-attempted before the job is reported as
+    /// Sets how many times a *transient* job failure (a panic) is
+    /// re-attempted before the job is reported as
     /// [`JobOutcome::Failed`]. Deterministic failures — invalid
     /// configuration, watchdog trips — are never retried. Defaults to
     /// [`DEFAULT_RETRIES`]; `0` disables retrying.
     pub fn retries(mut self, n: u32) -> Harness {
         self.retries = n;
-        self
-    }
-
-    /// Sets an advisory per-job wall-clock timeout. An attempt that
-    /// exceeds it is abandoned (the simulation winds down on a
-    /// detached thread under its own watchdog) and counts as a
-    /// transient [`JobError::Timeout`]. Off by default: the
-    /// simulator-level watchdog and cycle budget already bound every
-    /// healthy job.
-    pub fn job_timeout(mut self, limit: Duration) -> Harness {
-        self.job_timeout = Some(limit);
         self
     }
 
@@ -748,12 +651,11 @@ impl Harness {
     /// Runs a batch with per-job fault isolation and returns one
     /// [`JobOutcome`] per job, in job order.
     ///
-    /// Each job runs behind a `catch_unwind` boundary (plus an optional
-    /// wall-clock timeout), so one wedged or crashing cell cannot take
-    /// down the batch: the remaining jobs still run, successful results
-    /// still reach the result store, and the failure comes back as
-    /// [`JobOutcome::Failed`] carrying the [`JobError`] and retry
-    /// count. Transient failures are retried per
+    /// Each job runs behind a `catch_unwind` boundary, so one crashing
+    /// or aborting cell cannot take down the batch: the remaining jobs
+    /// still run, successful results still reach the result store, and
+    /// the failure comes back as [`JobOutcome::Failed`] carrying the
+    /// [`JobError`] and retry count. Transient failures are retried per
     /// [`Harness::retries`]. On the all-success path the outcomes are
     /// exactly the reports [`Harness::run`] returns, in the same order.
     pub fn try_run(&mut self, jobs: &[Job]) -> Vec<JobOutcome> {
@@ -766,7 +668,8 @@ impl Harness {
     ///
     /// The sink is called on the submitting thread only — never
     /// concurrently — once per *simulated* cell in completion order
-    /// (store hits and coalesced duplicates produce no call), bracketed
+    /// (submission order at [`Harness::jobs`]`(1)`; store hits and
+    /// coalesced duplicates produce no call), bracketed
     /// by [`ProgressSink::batch_start`] and [`ProgressSink::batch_end`].
     /// The sweep service uses this to forward a batch's progress to the
     /// requesting client rather than the daemon's own stderr.
@@ -851,26 +754,18 @@ impl Harness {
             }
         }
 
-        // Phase 3: execute the pending set. Each worker (or the calling
-        // thread at `--jobs 1`) owns one BatchRunner, so consecutive
-        // cells on that worker reuse one engine arena and share
-        // fast-forward checkpoints. Batching is on by default; a
-        // configured job timeout disables it (the timeout path detaches
-        // the attempt onto a fresh thread), and `CTCP_BATCH=off` forces
-        // the historical one-simulation-per-job path for A/B timing.
-        let batching =
-            self.job_timeout.is_none() && std::env::var("CTCP_BATCH").map_or(true, |v| v != "off");
-        let workers = self.effective_jobs().min(pending.len().max(1));
-        let (retries, timeout) = (self.retries, self.job_timeout);
-        if batching && self.sched.is_some() {
-            // Shared-pool path: the pending cells are handed to the
-            // scheduler, which interleaves them fairly with every other
-            // in-flight request. Admission happens *before* the first
-            // progress event, so a refused batch streams nothing.
-            let sched = self.sched.clone().expect("just checked");
-            let handle = if pending.is_empty() {
-                None // fully memoized: never touch the worker queue
-            } else {
+        // Phase 3: execute the pending set on a cell scheduler — the
+        // shared one if attached, else a private pool sized to this
+        // batch and shut down at its end. Admission happens *before*
+        // the first progress event, so a refused batch streams nothing;
+        // a fully-memoized batch never touches a queue at all.
+        let private = (self.sched.is_none() && !pending.is_empty())
+            .then(|| CellScheduler::start(self.effective_jobs().min(pending.len()), 0));
+        let handle = match self.sched.as_ref().or(private.as_ref()) {
+            Some(sched) if !pending.is_empty() => {
+                // `CTCP_BATCH=off` is the A/B switch for timing: every
+                // cell gets a fresh runner (no arena, no checkpoint).
+                let batched = std::env::var("CTCP_BATCH").map_or(true, |v| v != "off");
                 let cells = pending
                     .iter()
                     .map(|&i| sched::Cell {
@@ -878,122 +773,64 @@ impl Harness {
                         job: jobs[i].clone(),
                         with_metrics,
                         with_attrib,
-                        retries,
+                        retries: self.retries,
+                        batched,
                     })
                     .collect();
                 Some(sched.submit(cells)?)
-            };
-            sink.batch_start(pending.len());
-            if let Some(handle) = handle {
-                let mut outstanding = pending.len();
-                let mut done = 0usize;
-                let mut cancel_sent = false;
-                while outstanding > 0 {
-                    // The cancel token is set by the progress sink when
-                    // the client's stream breaks, so check it between
-                    // completions: queued cells are dropped, running
-                    // cells finish (and memoize) normally.
-                    if !cancel_sent
-                        && self
-                            .cancel
-                            .as_ref()
-                            .is_some_and(|c| c.load(Ordering::Relaxed))
-                    {
-                        handle.cancel();
-                        cancel_sent = true;
-                    }
-                    match handle.recv() {
-                        Some(sched::CellDone::Finished {
-                            index,
-                            result,
-                            retries: used,
-                            took,
-                            worker,
-                        }) => {
-                            done += 1;
-                            sink.cell_done_on(done, &jobs[index].workload, took, worker);
-                            results[index] =
-                                Some(self.collect(&jobs[index], keys[index], *result, used));
-                            outstanding -= 1;
-                        }
-                        Some(sched::CellDone::Cancelled { count }) => outstanding -= count,
-                        None => break, // pool died; fail the remainder below
-                    }
+            }
+            _ => None,
+        };
+        sink.batch_start(pending.len());
+        if let Some(handle) = handle {
+            let mut outstanding = pending.len();
+            let mut done = 0usize;
+            let mut cancel_sent = false;
+            while outstanding > 0 {
+                // The cancel token is set by the progress sink when the
+                // client's stream breaks, so check it between
+                // completions: queued cells are dropped, running cells
+                // finish (and memoize) normally.
+                if !cancel_sent
+                    && self
+                        .cancel
+                        .as_ref()
+                        .is_some_and(|c| c.load(Ordering::Relaxed))
+                {
+                    handle.cancel();
+                    cancel_sent = true;
                 }
-                for &i in &pending {
-                    if results[i].is_none() {
-                        results[i] = Some(JobOutcome::Failed(JobFailure {
-                            workload: jobs[i].workload.clone(),
-                            strategy: jobs[i].config.strategy.name(),
-                            error: JobError::Cancelled,
-                            retries: 0,
-                        }));
+                match handle.recv() {
+                    Some(sched::CellDone::Finished {
+                        index,
+                        result,
+                        retries: used,
+                        took,
+                        worker,
+                    }) => {
+                        done += 1;
+                        sink.cell_done_on(done, &jobs[index].workload, took, worker);
+                        results[index] =
+                            Some(self.collect(&jobs[index], keys[index], *result, used));
+                        outstanding -= 1;
                     }
+                    Some(sched::CellDone::Cancelled { count }) => outstanding -= count,
+                    None => break, // pool died; fail the remainder below
                 }
             }
-        } else if workers <= 1 {
-            sink.batch_start(pending.len());
-            let mut runner = BatchRunner::new();
-            for (done, &i) in pending.iter().enumerate() {
-                let t = Instant::now();
-                let (result, used) = if batching {
-                    execute_batched(&mut runner, &jobs[i], with_metrics, with_attrib, retries)
-                } else {
-                    execute(&jobs[i], with_metrics, with_attrib, timeout, retries)
-                };
-                sink.cell_done(done + 1, &jobs[i].workload, t.elapsed());
-                results[i] = Some(self.collect(&jobs[i], keys[i], result, used));
+            for &i in &pending {
+                if results[i].is_none() {
+                    results[i] = Some(JobOutcome::Failed(JobFailure {
+                        workload: jobs[i].workload.clone(),
+                        strategy: jobs[i].config.strategy.name(),
+                        error: JobError::Cancelled,
+                        retries: 0,
+                    }));
+                }
             }
-        } else {
-            sink.batch_start(pending.len());
-            let cursor = AtomicUsize::new(0);
-            type Done = (
-                usize,
-                Result<(SimReport, Option<String>), JobError>,
-                u32,
-                Duration,
-            );
-            let (tx, rx) = mpsc::channel::<Done>();
-            let pending_ref = &pending;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut runner = BatchRunner::new();
-                        loop {
-                            let next = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = pending_ref.get(next) else {
-                                break;
-                            };
-                            let t = Instant::now();
-                            let (result, used) = if batching {
-                                execute_batched(
-                                    &mut runner,
-                                    &jobs[i],
-                                    with_metrics,
-                                    with_attrib,
-                                    retries,
-                                )
-                            } else {
-                                execute(&jobs[i], with_metrics, with_attrib, timeout, retries)
-                            };
-                            if tx.send((i, result, used, t.elapsed())).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // Collect on the submitting thread: store writes,
-                // metrics lines, and progress stay single-threaded.
-                let mut done = 0;
-                for (i, result, used, took) in rx {
-                    done += 1;
-                    sink.cell_done(done, &jobs[i].workload, took);
-                    results[i] = Some(self.collect(&jobs[i], keys[i], result, used));
-                }
-            });
+        }
+        if let Some(private) = private {
+            private.shutdown();
         }
         sink.batch_end();
 
@@ -1235,6 +1072,40 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_reports_progress_in_submission_order() {
+        // A single worker runs a lone batch FIFO, so its progress
+        // events arrive in submission order even though budgets vary.
+        struct Names(Vec<String>);
+        impl ProgressSink for Names {
+            fn batch_start(&mut self, _total: usize) {}
+            fn cell_done(&mut self, _done: usize, workload: &str, _took: Duration) {
+                self.0.push(workload.to_string());
+            }
+            fn batch_end(&mut self) {}
+        }
+        let program = tiny_program();
+        let jobs: Vec<Job> = [4_000u64, 500, 3_000, 800, 2_000, 600]
+            .iter()
+            .enumerate()
+            .map(|(i, &max_insts)| {
+                let config = SimConfig {
+                    max_insts,
+                    ..SimConfig::default()
+                };
+                Job::new(format!("cell{i}"), Arc::clone(&program), config)
+            })
+            .collect();
+        let mut names = Names(Vec::new());
+        let outcomes = Harness::new()
+            .jobs(1)
+            .progress(false)
+            .try_run_with_progress(&jobs, &mut names);
+        assert!(outcomes.iter().all(|o| o.report().is_some()));
+        let submitted: Vec<&str> = jobs.iter().map(|j| j.workload.as_str()).collect();
+        assert_eq!(names.0, submitted);
+    }
+
+    #[test]
     fn results_come_back_in_job_order() {
         let jobs = grid(&[600, 1_200]);
         let reports = Harness::new().jobs(4).progress(false).run(&jobs);
@@ -1460,35 +1331,6 @@ mod tests {
         warm.try_run(&grid(&[750]));
         assert_eq!(warm.last_batch().store_hits, 3);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn slow_jobs_time_out_as_transient_failures() {
-        // A job this large takes well over a millisecond per attempt,
-        // so a 1 ms advisory timeout must abandon it — twice, because
-        // timeouts are transient and the default policy retries once.
-        let config = SimConfig {
-            max_insts: 2_000_000,
-            ..SimConfig::default()
-        };
-        let jobs = [Job::new("tiny", tiny_program(), config)];
-        let mut h = Harness::new()
-            .jobs(1)
-            .progress(false)
-            .job_timeout(Duration::from_millis(1));
-        let outcomes = h.try_run(&jobs);
-        let failure = outcomes[0].failure().expect("job times out");
-        assert_eq!(
-            failure.error,
-            JobError::Timeout {
-                limit: Duration::from_millis(1)
-            }
-        );
-        assert_eq!(failure.retries, DEFAULT_RETRIES);
-        assert_eq!(
-            h.telemetry().get(ctcp_telemetry::Counter::HarnessRetries),
-            u64::from(DEFAULT_RETRIES)
-        );
     }
 
     #[test]

@@ -24,9 +24,9 @@ pub trait ProgressSink {
     /// `workload` finished after `took` of wall time.
     fn cell_done(&mut self, done: usize, workload: &str, took: Duration);
     /// Like [`cell_done`](ProgressSink::cell_done), but additionally
-    /// names the shared-scheduler pool worker that ran the cell. Only
-    /// the shared-scheduler path calls this; the default forwards to
-    /// `cell_done`, so sinks that do not care about lane attribution
+    /// names the scheduler pool worker that ran the cell. The harness
+    /// always calls this; the default forwards to `cell_done`, so
+    /// sinks that do not care about lane attribution
     /// (the stderr reporter, tests) need not override it. The serve
     /// event sink overrides it to stamp a `worker` field into the
     /// streamed progress event, which the daemon turns into per-worker

@@ -1,30 +1,38 @@
-//! Shared cell-level scheduler: one resident worker pool serving the
-//! simulation cells of many concurrent requests fairly.
+//! Cell scheduler: one worker pool serving the simulation cells of one
+//! or many concurrent requests fairly. Every harness batch runs here —
+//! on the sweep service's resident pool, or on a private pool the
+//! harness starts for one batch and shuts down after it.
 //!
-//! The sweep service used to serialise whole batches behind a handler
-//! mutex: one long sweep blocked every other client. This module
-//! inverts that. A [`CellScheduler`] owns a fixed pool of resident
-//! worker threads fed by a *fair* queue of cells: each in-flight
-//! request keeps its own FIFO of pending cells, and a round-robin ring
-//! over request ids hands workers **one cell per request per turn** —
-//! so a 2-cell `analyze` is never starved behind a 96-cell sweep; it
-//! waits for at most one cell per request ahead of it in the ring.
+//! A [`CellScheduler`] owns a fixed pool of worker threads fed by a
+//! *fair* queue of cells: each in-flight request keeps its own FIFO of
+//! pending cells, and a round-robin ring over request ids hands workers
+//! **one cell per request per turn** — so a 2-cell `analyze` is never
+//! starved behind a 96-cell sweep; it waits for at most one cell per
+//! request ahead of it in the ring. A lone request is plain FIFO, so a
+//! one-worker pool runs its cells in submission order.
 //!
 //! Results are routed back to the submitting request over a private
 //! channel (one per [`RequestHandle`]), so every request collects its
 //! own cells — store writes, metrics lines and progress events stay on
-//! the submitting thread, exactly as in the private-pool path, and
-//! final outputs remain byte-identical to one-shot runs.
+//! the submitting thread, and final outputs are byte-identical at any
+//! worker count.
 //!
-//! Workers recycle engine storage across cells the same way the
-//! private-pool path does: each worker keeps one owned
-//! [`EngineArena`](ctcp_sim::EngineArena) and threads it through a
-//! fresh per-cell [`BatchRunner`](ctcp_sim::BatchRunner). (A resident
-//! runner cannot outlive a cell here: its memoized warmup checkpoint
-//! borrows the cell's program, which the scheduler does not keep
-//! alive. Warmup fast-forwards are still captured per cell; only the
-//! cross-cell checkpoint sharing of the single-request pool is
-//! forgone.)
+//! Each worker keeps one owned [`EngineArena`](ctcp_sim::EngineArena)
+//! for its whole life and binds a [`BatchRunner`](ctcp_sim::BatchRunner)
+//! to the program of the cell it picks up. The runner serves every
+//! directly following cell of the same program (`Arc::ptr_eq`), which
+//! is what lets a sweep — bench-outermost by construction — capture one
+//! warmup checkpoint per `(program, warmup)` instead of one per cell.
+//! When the program changes the runner is rebound and the arena carries
+//! over; before a worker blocks on an empty queue it drops the runner
+//! and keeps only the arena, so an idle pool pins no request's program.
+//!
+//! Supervision is one policy for every caller. A panicking cell is
+//! caught, its worker's runner is rebuilt from scratch (a "respawn"),
+//! and the cell is retried with linear backoff; the attempt that
+//! exhausts its retries reports [`JobError::Panic`]. The pool's ledger
+//! then quarantines the key, and any later submission of it
+//! short-circuits to [`JobError::CellPoisoned`] without running.
 //!
 //! Admission control is a bound on the *queued* (not running) cell
 //! count: [`CellScheduler::submit`] atomically rejects a request whose
@@ -34,7 +42,8 @@
 //! finish and memoize); [`CellScheduler::shutdown`] stops admissions,
 //! lets workers drain every queued cell, and joins them.
 
-use crate::{execute_batched, Job, JobError};
+use crate::{run_with_retries, Job, JobError};
+use ctcp_isa::Program;
 use ctcp_sim::{BatchRunner, EngineArena};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -43,10 +52,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Worker panics tolerated on one cell key before the supervisor
-/// quarantines it: further attempts short-circuit to
+/// quarantines it: later submissions short-circuit to
 /// [`JobError::CellPoisoned`] instead of burning another worker. Two
-/// means one organic attempt plus one retry — a deterministic
-/// crasher trips it within a single default-retry request.
+/// means one organic attempt plus one retry — a deterministic crasher
+/// is quarantined by the end of a single default-retry request, which
+/// itself still reports the panic.
 pub(crate) const POISON_PANICS: u32 = 2;
 
 /// One unit of scheduled work: a cell of some request's batch,
@@ -64,6 +74,9 @@ pub(crate) struct Cell {
     pub with_attrib: bool,
     /// Transient-failure retry budget.
     pub retries: u32,
+    /// Whether the cell runs on the worker's program-bound runner;
+    /// `false` gives it a fresh runner (the `CTCP_BATCH=off` switch).
+    pub batched: bool,
 }
 
 /// A worker's (or the scheduler's) report back to the submitter.
@@ -72,8 +85,8 @@ pub(crate) enum CellDone {
     Finished {
         /// `Cell::index` of the finished cell.
         index: usize,
-        /// The run's outcome, same shape as the private-pool path.
-        /// Boxed: a `SimReport` is large and `Cancelled` is tiny.
+        /// The run's outcome. Boxed: a `SimReport` is large and
+        /// `Cancelled` is tiny.
         result: Box<Result<(ctcp_sim::SimReport, Option<String>), JobError>>,
         /// Retries actually performed.
         retries: u32,
@@ -128,7 +141,7 @@ pub struct SchedStats {
     pub cancelled: u64,
     /// The admission bound on the queued-cell count (`0` = unbounded).
     pub max_queue: usize,
-    /// Fresh-arena worker respawns after panics, cumulative (each
+    /// Fresh-runner worker respawns after panics, cumulative (each
     /// caught panic discards the torn runner state and rebuilds).
     pub respawns: u64,
     /// Cells answered with [`JobError::CellPoisoned`], cumulative.
@@ -170,6 +183,33 @@ struct SchedInner {
 impl SchedInner {
     fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Pops the next cell off the fair ring, with the sender its result
+    /// goes home on. With `wait` set, blocks until a cell is queued and
+    /// returns `None` only once the queue is dry *and* the scheduler is
+    /// shutting down; without, returns `None` whenever the queue is
+    /// empty.
+    fn next_cell(&self, wait: bool) -> Option<(Cell, mpsc::Sender<CellDone>)> {
+        let mut st = self.lock();
+        loop {
+            if let Some(id) = st.ring.pop_front() {
+                let rq = st.requests.get_mut(&id).expect("ring entry has a queue");
+                let cell = rq.cells.pop_front().expect("queued request has cells");
+                let tx = rq.tx.clone();
+                if rq.cells.is_empty() {
+                    st.requests.remove(&id);
+                } else {
+                    st.ring.push_back(id);
+                }
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                return Some((cell, tx));
+            }
+            if !wait || st.shutdown {
+                return None;
+            }
+            st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// The key's panic count when it is quarantined, else `None`.
@@ -238,7 +278,7 @@ impl CellScheduler {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let inner = Arc::clone(&inner);
-            // Supervised worker: `execute_batched` already catches
+            // Supervised worker: `run_with_retries` already catches
             // per-cell panics, so this outer boundary only fires on a
             // scheduler bug — but even then the pool must not shrink,
             // so the supervisor respawns the loop instead of dying.
@@ -379,107 +419,110 @@ impl RequestHandle {
     }
 }
 
-/// The resident worker body: pull one cell from the fair queue, run it
-/// with recycled engine storage, route the result home, repeat until
+/// The worker body: pull cells from the fair queue and run them on a
+/// runner bound to their program, route each result home, repeat until
 /// shutdown *and* the queue is dry.
 fn worker_loop(inner: &SchedInner, worker: usize) {
     let mut arena: Option<EngineArena> = None;
+    let mut next = None;
     loop {
-        let picked = {
-            let mut st = inner.lock();
-            loop {
-                if let Some(id) = st.ring.pop_front() {
-                    let rq = st.requests.get_mut(&id).expect("ring entry has a queue");
-                    let cell = rq.cells.pop_front().expect("queued request has cells");
-                    let tx = rq.tx.clone();
-                    if rq.cells.is_empty() {
-                        st.requests.remove(&id);
-                    } else {
-                        st.ring.push_back(id);
-                    }
-                    break Some((cell, tx));
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = inner.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some((cell, tx)) = picked else {
+        // Blocking happens here only, with no runner alive.
+        let Some(first) = next.take().or_else(|| inner.next_cell(true)) else {
             return;
         };
-        inner.queued.fetch_sub(1, Ordering::Relaxed);
-        // Quarantine check: a key that already burned its panic budget
-        // is refused without touching a runner — poison is the typed
-        // outcome, the rest of the request proceeds.
-        let key = cell.job.key();
-        if let Some(panics) = inner.poison_of(key) {
-            inner.poisoned.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(CellDone::Finished {
-                index: cell.index,
-                result: Box::new(Err(JobError::CellPoisoned { panics })),
-                retries: 0,
-                took: Duration::ZERO,
-                worker,
-            });
-            continue;
-        }
-        inner.running.fetch_add(1, Ordering::Relaxed);
-        let t = Instant::now();
-        // Per-cell runner, worker-resident arena: allocation recycling
-        // survives across cells even though the runner itself cannot.
-        let mut runner = match arena.take() {
-            Some(a) => BatchRunner::with_arena(a),
-            None => BatchRunner::new(),
-        };
-        let (mut result, retries) = execute_batched(
-            &mut runner,
-            &cell.job,
-            cell.with_metrics,
-            cell.with_attrib,
-            cell.retries,
-        );
-        arena = runner.take_arena();
-        inner.running.fetch_sub(1, Ordering::Relaxed);
-        // Supervision bookkeeping. In the batched path panics are the
-        // only transient failure, so `retries` counts retried panics;
-        // each one tore the runner down and rebuilt it with a fresh
-        // arena — that rebuild is the "respawn" the counter reports.
-        let panics = retries + u32::from(matches!(result, Err(JobError::Panic(_))));
-        if panics > 0 {
-            inner
-                .respawns
-                .fetch_add(u64::from(panics), Ordering::Relaxed);
-            let total = inner.note_panics(key, panics);
-            if total >= POISON_PANICS && matches!(result, Err(JobError::Panic(_))) {
-                inner.poisoned.fetch_add(1, Ordering::Relaxed);
-                result = Err(JobError::CellPoisoned { panics: total });
-                ctcp_telemetry::log::warn(
-                    "sched",
-                    "cell quarantined after repeated panics",
-                    &[
-                        (
-                            "key",
-                            ctcp_telemetry::json::Value::str(&format!("{key:016x}")),
-                        ),
-                        (
-                            "workload",
-                            ctcp_telemetry::json::Value::str(&cell.job.workload),
-                        ),
-                        ("panics", ctcp_telemetry::json::Value::u64(u64::from(total))),
-                        ("worker", ctcp_telemetry::json::Value::u64(worker as u64)),
-                    ],
-                );
+        let program = Arc::clone(&first.0.job.program);
+        let mut runner = arena
+            .take()
+            .map_or_else(BatchRunner::new, BatchRunner::with_arena);
+        let mut current = first;
+        loop {
+            run_cell(inner, worker, &program, &mut runner, current);
+            match inner.next_cell(false) {
+                Some(cell) if Arc::ptr_eq(&cell.0.job.program, &program) => current = cell,
+                other => {
+                    next = other;
+                    break;
+                }
             }
         }
+        arena = runner.take_arena();
+    }
+}
+
+/// Runs one picked cell on `runner` (bound to `program`, the cell's
+/// own) under the supervision policy, and sends its result home.
+fn run_cell<'p>(
+    inner: &SchedInner,
+    worker: usize,
+    program: &'p Program,
+    runner: &mut BatchRunner<'p>,
+    (cell, tx): (Cell, mpsc::Sender<CellDone>),
+) {
+    // Quarantine check: a key that already burned its panic budget is
+    // refused without touching a runner — poison is the typed outcome,
+    // the rest of the request proceeds.
+    let key = cell.job.key();
+    if let Some(panics) = inner.poison_of(key) {
+        inner.poisoned.fetch_add(1, Ordering::Relaxed);
         let _ = tx.send(CellDone::Finished {
             index: cell.index,
-            result: Box::new(result),
-            retries,
-            took: t.elapsed(),
+            result: Box::new(Err(JobError::CellPoisoned { panics })),
+            retries: 0,
+            took: Duration::ZERO,
             worker,
         });
+        return;
     }
+    inner.running.fetch_add(1, Ordering::Relaxed);
+    let t = Instant::now();
+    let mut fresh = BatchRunner::new();
+    let runner = if cell.batched { runner } else { &mut fresh };
+    let (result, retries) = run_with_retries(
+        runner,
+        program,
+        &cell.job,
+        cell.with_metrics,
+        cell.with_attrib,
+        cell.retries,
+    );
+    inner.running.fetch_sub(1, Ordering::Relaxed);
+    // Supervision bookkeeping. Panics are the only transient failure,
+    // so `retries` counts retried panics; each one tore the runner down
+    // and rebuilt it — that rebuild is the "respawn" the counter
+    // reports. A key that reaches the panic budget is quarantined for
+    // every later submission; this attempt still reports its panic.
+    let panics = retries + u32::from(matches!(result, Err(JobError::Panic(_))));
+    if panics > 0 {
+        inner
+            .respawns
+            .fetch_add(u64::from(panics), Ordering::Relaxed);
+        let total = inner.note_panics(key, panics);
+        if total >= POISON_PANICS && matches!(result, Err(JobError::Panic(_))) {
+            ctcp_telemetry::log::warn(
+                "sched",
+                "cell quarantined after repeated panics",
+                &[
+                    (
+                        "key",
+                        ctcp_telemetry::json::Value::str(&format!("{key:016x}")),
+                    ),
+                    (
+                        "workload",
+                        ctcp_telemetry::json::Value::str(&cell.job.workload),
+                    ),
+                    ("panics", ctcp_telemetry::json::Value::u64(u64::from(total))),
+                    ("worker", ctcp_telemetry::json::Value::u64(worker as u64)),
+                ],
+            );
+        }
+    }
+    let _ = tx.send(CellDone::Finished {
+        index: cell.index,
+        result: Box::new(result),
+        retries,
+        took: t.elapsed(),
+        worker,
+    });
 }
 
 #[cfg(test)]
@@ -499,6 +542,7 @@ mod tests {
             with_metrics: false,
             with_attrib: false,
             retries: 0,
+            batched: true,
         }
     }
 
@@ -614,38 +658,45 @@ mod tests {
             with_metrics: false,
             with_attrib: false,
             retries: 1, // two panics total: exactly the poison budget
+            batched: true,
         };
         let h = sched
             .submit(vec![cell(0, 500), cell(1, 500), crasher()])
             .unwrap();
-        let (mut ok, mut poisoned) = (0, 0);
+        let (mut ok, mut panicked) = (0, 0);
         for _ in 0..3 {
             match h.recv().expect("pool alive") {
                 CellDone::Finished { index, result, .. } => match *result {
                     Ok(_) => ok += 1,
-                    Err(JobError::CellPoisoned { panics }) => {
-                        assert_eq!(index, 2, "poison must hit the crasher only");
-                        assert!(panics >= POISON_PANICS);
-                        poisoned += 1;
+                    // The request that exhausts the retries still sees
+                    // the panic itself, exactly as a one-shot sweep
+                    // reports it.
+                    Err(JobError::Panic(_)) => {
+                        assert_eq!(index, 2, "only the crasher may fail");
+                        panicked += 1;
                     }
                     Err(e) => panic!("unexpected outcome: {e}"),
                 },
                 CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
             }
         }
-        assert_eq!((ok, poisoned), (2, 1));
+        assert_eq!((ok, panicked), (2, 1));
         let stats = sched.stats();
-        assert!(stats.respawns >= 2, "each caught panic respawns the arena");
-        assert_eq!(stats.poisoned, 1);
-        // The quarantined key now short-circuits without running.
+        assert!(stats.respawns >= 2, "each caught panic respawns the runner");
+        assert_eq!(stats.poisoned, 0, "no cell has been refused yet");
+        // The key is now quarantined: a later submission of it
+        // short-circuits without running.
         let h2 = sched.submit(vec![crasher()]).unwrap();
         match h2.recv().expect("pool alive") {
-            CellDone::Finished { result, .. } => {
-                assert!(matches!(*result, Err(JobError::CellPoisoned { .. })));
-            }
+            CellDone::Finished { result, .. } => match *result {
+                Err(JobError::CellPoisoned { panics }) => assert!(panics >= POISON_PANICS),
+                other => panic!("expected poison, got {:?}", other.map(|_| ())),
+            },
             CellDone::Cancelled { .. } => panic!("nothing was cancelled"),
         }
-        assert_eq!(sched.stats().poisoned, 2);
+        let stats = sched.stats();
+        assert_eq!(stats.poisoned, 1);
+        assert_eq!(stats.respawns, 2, "the refused cell never ran");
         ctcp_telemetry::failpoint::set(None);
         sched.shutdown();
     }

@@ -38,14 +38,9 @@
 //!   when they land on the same shard. Lock files are pure tokens and
 //!   are removed best-effort when the last handle drops.
 //!
-//! ## Legacy single-file stores
-//!
-//! Earlier releases kept everything in one `results.jsonl` under one
-//! whole-store lock. [`ResultStore::open`] and [`compact`] migrate such
-//! a directory transparently: each legacy line is routed to the shard
-//! its key names (corrupt lines go to `results.quarantine.jsonl`), then
-//! the legacy file and its `results.lock` are deleted. [`verify`] is
-//! read-only and scans the legacy file in place instead.
+//! Any other file in the directory (such as the single `results.jsonl`
+//! of pre-shard releases) is ignored: the store is a cache, so an
+//! unknown layout is simply a miss.
 //!
 //! Offline maintenance lives in [`verify`], [`compact`] and [`gc`],
 //! surfaced as `ctcp store` subcommands. `compact` and `gc` work one
@@ -89,13 +84,6 @@ pub const STORE_SHARDS: usize = 8;
 pub fn shard_of(key: u64) -> usize {
     ((key ^ (key >> 32)) % STORE_SHARDS as u64) as usize
 }
-
-/// Store file of the legacy single-file layout, migrated on open.
-const LEGACY_STORE_FILE: &str = "results.jsonl";
-/// Quarantine target for corrupt lines found during legacy migration.
-const LEGACY_QUARANTINE_FILE: &str = "results.quarantine.jsonl";
-/// Whole-store lock of the legacy layout, deleted with the store file.
-const LEGACY_LOCK_FILE: &str = "results.lock";
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.jsonl"))
@@ -275,8 +263,7 @@ impl ResultStore {
         PathBuf::from("target").join("ctcp-results")
     }
 
-    /// Opens (creating if needed) the store in `dir`, migrates any
-    /// legacy single-file store into the sharded layout, loads every
+    /// Opens (creating if needed) the store in `dir`, loads every
     /// decodable line into the in-memory index, and self-heals:
     /// corrupt lines are appended to that shard's quarantine file and
     /// the shard is atomically rewritten without them.
@@ -288,7 +275,7 @@ impl ResultStore {
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ResultStore> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut quarantined = migrate_legacy(dir)?;
+        let mut quarantined = 0u64;
         let mut reclaimed = 0u64;
         let mut maps: Vec<KeyIndex> = (0..STORE_SHARDS).map(|_| KeyIndex::default()).collect();
         let mut shards = Vec::with_capacity(STORE_SHARDS);
@@ -629,57 +616,6 @@ fn append_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     f.flush()
 }
 
-/// Routes a legacy single-file `results.jsonl` into the sharded
-/// layout: valid lines go to the shard their key names, stale lines
-/// follow their declared key (preserved in place, as before),
-/// undecodable lines are quarantined to `results.quarantine.jsonl`.
-/// The legacy store file and its whole-store lock are then deleted.
-/// Returns the number of lines quarantined; a directory with no legacy
-/// file is a no-op.
-fn migrate_legacy(dir: &Path) -> std::io::Result<u64> {
-    let legacy = dir.join(LEGACY_STORE_FILE);
-    let Ok(existing) = File::open(&legacy) else {
-        return Ok(0);
-    };
-    let mut buckets: Vec<Vec<String>> = (0..STORE_SHARDS).map(|_| Vec::new()).collect();
-    let mut corrupt: Vec<String> = Vec::new();
-    for line in BufReader::new(existing).lines() {
-        let line = line?;
-        match classify_line(&line) {
-            Line::Valid { key, .. } => buckets[shard_of(key)].push(line),
-            Line::Stale => match declared_key(&line) {
-                Some(key) => buckets[shard_of(key)].push(line),
-                None => corrupt.push(line),
-            },
-            Line::Blank => {}
-            Line::Corrupt => corrupt.push(line),
-        }
-    }
-    let quarantined = corrupt.len() as u64;
-    if !corrupt.is_empty() {
-        append_lines(&dir.join(LEGACY_QUARANTINE_FILE), &corrupt)?;
-    }
-    for (i, lines) in buckets.iter().enumerate() {
-        if !lines.is_empty() {
-            append_lines(&shard_path(dir, i), lines)?;
-        }
-    }
-    std::fs::remove_file(&legacy)?;
-    let _ = std::fs::remove_file(dir.join(LEGACY_LOCK_FILE));
-    Ok(quarantined)
-}
-
-/// The key a well-formed envelope *claims*, without validating it —
-/// how stale (old-version) lines are routed to a shard.
-fn declared_key(line: &str) -> Option<u64> {
-    let v = Value::parse(line).ok()?;
-    let hex = v.get("key")?.as_str()?;
-    if hex.is_empty() || hex.len() > 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
-
 /// Atomically replaces `path` with `lines` via a temp file + rename,
 /// so a crash mid-rewrite leaves either the old file or the new one —
 /// never a half-written store.
@@ -798,10 +734,9 @@ pub struct VerifyReport {
     pub entries: usize,
 }
 
-/// Read-only integrity scan of the store in `dir`: every shard file,
-/// plus any unmigrated legacy `results.jsonl` in place. Touches
-/// nothing — no quarantine, no healing, no migration, no locks — so it
-/// is safe to run concurrently with a sweep.
+/// Read-only integrity scan of every shard file of the store in `dir`.
+/// Touches nothing — no quarantine, no healing, no locks — so it is
+/// safe to run concurrently with a sweep.
 ///
 /// # Errors
 ///
@@ -810,10 +745,8 @@ pub fn verify(dir: impl AsRef<Path>) -> std::io::Result<VerifyReport> {
     let dir = dir.as_ref();
     let mut rep = VerifyReport::default();
     let mut keys = std::collections::HashSet::new();
-    let mut paths = vec![dir.join(LEGACY_STORE_FILE)];
-    paths.extend((0..STORE_SHARDS).map(|i| shard_path(dir, i)));
-    for path in paths {
-        let Ok(existing) = File::open(&path) else {
+    for shard in 0..STORE_SHARDS {
+        let Ok(existing) = File::open(shard_path(dir, shard)) else {
             continue;
         };
         for line in BufReader::new(existing).lines() {
@@ -853,10 +786,9 @@ pub struct CompactReport {
 }
 
 /// Rewrites the store in `dir` down to one line per key — the newest —
-/// dropping stale-version lines and quarantining corrupt ones. A
-/// legacy single-file store is migrated into the sharded layout first,
-/// then each shard is processed independently under its own advisory
-/// lock, so a concurrent reader or writer on another shard is never
+/// dropping stale-version lines and quarantining corrupt ones. Each
+/// shard is processed independently under its own advisory lock, so a
+/// concurrent reader or writer on another shard is never
 /// blocked. Each rewrite is atomic (temp file + rename); surviving
 /// lines keep their original bytes and relative order.
 ///
@@ -866,7 +798,6 @@ pub struct CompactReport {
 pub fn compact(dir: impl AsRef<Path>) -> std::io::Result<CompactReport> {
     let dir = dir.as_ref();
     let mut rep = CompactReport::default();
-    rep.quarantined += migrate_legacy(dir)? as usize;
     for i in 0..STORE_SHARDS {
         compact_shard(dir, i, &mut rep)?;
     }
@@ -946,9 +877,9 @@ pub struct GcReport {
     pub quarantine_bytes: u64,
 }
 
-/// Full garbage collection: [`compact`], then delete every quarantine
-/// file (per-shard and legacy) — use once quarantined lines have been
-/// inspected (or given up on).
+/// Full garbage collection: [`compact`], then delete every shard's
+/// quarantine file — use once quarantined lines have been inspected
+/// (or given up on).
 ///
 /// # Errors
 ///
@@ -957,9 +888,7 @@ pub fn gc(dir: impl AsRef<Path>) -> std::io::Result<GcReport> {
     let dir = dir.as_ref();
     let compact = compact(dir)?;
     let mut quarantine_bytes = 0u64;
-    let mut qpaths = vec![dir.join(LEGACY_QUARANTINE_FILE)];
-    qpaths.extend((0..STORE_SHARDS).map(|i| shard_quarantine_path(dir, i)));
-    for qpath in qpaths {
+    for qpath in (0..STORE_SHARDS).map(|i| shard_quarantine_path(dir, i)) {
         if let Ok(m) = std::fs::metadata(&qpath) {
             std::fs::remove_file(&qpath)?;
             quarantine_bytes += m.len();
@@ -975,14 +904,6 @@ pub fn gc(dir: impl AsRef<Path>) -> std::io::Result<GcReport> {
 mod tests {
     use super::*;
     use crate::testutil::{sample_report, temp_dir};
-
-    fn legacy_path(dir: &Path) -> PathBuf {
-        dir.join(LEGACY_STORE_FILE)
-    }
-
-    fn legacy_quarantine(dir: &Path) -> PathBuf {
-        dir.join(LEGACY_QUARANTINE_FILE)
-    }
 
     /// A syntactically perfect envelope whose only defect is the one
     /// under test — so each test isolates one classification rule.
@@ -1209,55 +1130,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_store_migrates_into_shards() {
-        let dir = temp_dir("store-migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A legacy directory: valid current-version lines in one
-        // results.jsonl plus
-        // the old whole-store lock token.
-        let keys = [1u64, 2, 1 << 32, 0xdead_beef_cafe];
-        let mut text = String::new();
-        for &k in &keys {
-            text.push_str(&encode_line(k, "unit", &sample_report()));
-            text.push('\n');
-        }
-        std::fs::write(legacy_path(&dir), &text).unwrap();
-        std::fs::write(dir.join(LEGACY_LOCK_FILE), "").unwrap();
-
-        let s = ResultStore::open(&dir).unwrap();
-        assert_eq!(s.stats().entries, keys.len());
-        assert_eq!(s.stats().quarantined, 0);
-        for &k in &keys {
-            assert!(s.get(k).is_some(), "key {k:#x} must survive migration");
-        }
-        drop(s);
-        assert!(!legacy_path(&dir).exists(), "legacy store file removed");
-        assert!(
-            !dir.join(LEGACY_LOCK_FILE).exists(),
-            "legacy lock removed with it"
-        );
-        for &k in &keys {
-            let text = std::fs::read_to_string(shard_path(&dir, shard_of(k))).unwrap();
-            assert!(
-                text.contains(&format!("{k:016x}")),
-                "key {k:#x} routed to its shard"
-            );
-        }
-        // Migration is idempotent: a second open sees a sharded store.
-        let s = ResultStore::open(&dir).unwrap();
-        assert_eq!(s.stats().entries, keys.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn mixed_version_lines_miss_without_quarantine() {
         let dir = temp_dir("store-mixed");
         let key = job_key("unit", &SimConfig::default());
-        // A v1-era line (no CRC) in a legacy store: well-formed, just
-        // old. Migration routes it by its declared key.
+        // A v1-era line (no CRC) in the shard its key routes to:
+        // well-formed, just old.
         let old = "{\"v\":1,\"key\":\"000000000000002a\",\"workload\":\"unit\",\"report\":{}}";
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(legacy_path(&dir), format!("{old}\n")).unwrap();
+        std::fs::write(shard_path(&dir, shard_of(0x2a)), format!("{old}\n")).unwrap();
         {
             let s = ResultStore::open(&dir).unwrap();
             assert_eq!(s.stats().entries, 0, "stale line must miss");
@@ -1265,8 +1144,7 @@ mod tests {
             assert!(s.get(0x2a).is_none());
             s.put(key, "unit", &sample_report()).unwrap();
         }
-        // The stale line is preserved — now in the shard its declared
-        // key (0x2a) routes to.
+        // The stale line is preserved in place.
         let text = std::fs::read_to_string(shard_path(&dir, shard_of(0x2a))).unwrap();
         assert!(text.starts_with(old));
         let rep = verify(&dir).unwrap();
@@ -1350,30 +1228,12 @@ mod tests {
     }
 
     #[test]
-    fn compact_migrates_a_legacy_store_first() {
-        let dir = temp_dir("store-compact-legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut text = encode_line(5, "unit", &sample_report());
-        text.push('\n');
-        text.push_str(&encode_line(5, "unit", &sample_report()));
-        text.push('\n');
-        std::fs::write(legacy_path(&dir), &text).unwrap();
-        let rep = compact(&dir).unwrap();
-        assert_eq!((rep.kept, rep.superseded), (1, 1));
-        assert!(!legacy_path(&dir).exists());
-        assert_eq!(verify(&dir).unwrap().entries, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn gc_removes_the_quarantine_files() {
         let dir = temp_dir("store-gc");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(legacy_path(&dir), "{\"v\":2,\"key\":\"00\n").unwrap();
+        std::fs::write(shard_path(&dir, 0), "{\"v\":2,\"key\":\"00\n").unwrap();
         let rep = gc(&dir).unwrap();
         assert_eq!(rep.compact.quarantined, 1);
         assert!(rep.quarantine_bytes > 0);
-        assert!(!legacy_quarantine(&dir).exists());
         for i in 0..STORE_SHARDS {
             assert!(!shard_quarantine_path(&dir, i).exists());
         }
@@ -1384,14 +1244,13 @@ mod tests {
     #[test]
     fn verify_is_read_only() {
         let dir = temp_dir("store-verify-ro");
-        std::fs::create_dir_all(&dir).unwrap();
         let text = "{\"v\":2,\"key\":\"00\n";
-        std::fs::write(legacy_path(&dir), text).unwrap();
+        std::fs::write(shard_path(&dir, 0), text).unwrap();
         let rep = verify(&dir).unwrap();
         assert_eq!((rep.lines, rep.corrupt), (1, 1));
-        // No migration, no quarantine, no healing: bytes untouched.
-        assert_eq!(std::fs::read_to_string(legacy_path(&dir)).unwrap(), text);
-        assert!(!legacy_quarantine(&dir).exists());
+        // No quarantine, no healing: bytes untouched.
+        assert_eq!(std::fs::read_to_string(shard_path(&dir, 0)).unwrap(), text);
+        assert!(!shard_quarantine_path(&dir, 0).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

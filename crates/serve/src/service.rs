@@ -209,7 +209,8 @@ pub struct HandlerStats {
     pub cancelled_cells: u64,
     /// Worker threads respawned after a panic, cumulative.
     pub respawns: u64,
-    /// Cells quarantined after repeated worker panics, cumulative.
+    /// Cells refused because their key was quarantined after
+    /// repeated worker panics, cumulative.
     pub poisoned: u64,
     /// True while the result store is degraded to read-only.
     pub read_only: bool,
@@ -292,7 +293,8 @@ pub struct ServiceSummary {
     pub resumed_streams: u64,
     /// Worker threads respawned after a panic.
     pub respawns: u64,
-    /// Cells quarantined after repeated worker panics.
+    /// Cells refused because their key was quarantined after
+    /// repeated worker panics.
     pub poisoned: u64,
 }
 

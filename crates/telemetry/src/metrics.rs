@@ -67,7 +67,8 @@ pub enum Counter {
     ServeJournalReplayed,
     /// Scheduler workers respawned with a fresh arena after a panic.
     ServeWorkerRespawns,
-    /// Cells quarantined (`CellPoisoned`) after repeated panics.
+    /// Cells refused as `CellPoisoned`: their key was quarantined
+    /// after repeated panics.
     ServeCellsPoisoned,
     /// Client streams re-attached to a live or journaled request via
     /// a resume token.

@@ -17,9 +17,9 @@
 #      batch must finish, render the survivors, exit non-zero, and
 #      leave a store that `ctcp store verify` passes clean
 #   8. batch throughput gate: a warmup-heavy 96-cell sweep batched vs
-#      CTCP_BATCH=off, recorded into BENCH_batch.json; batched must be
-#      >= 2x the unbatched cells/sec and within 125% of the committed
-#      reference
+#      CTCP_BATCH=off (a fresh runner per cell), recorded into
+#      BENCH_batch.json; batched must be >= 2x the unbatched cells/sec
+#      and within 125% of the committed reference
 #   9. serve smoke: a real daemon on an ephemeral port serves a client
 #      sweep byte-identical to the one-shot CLI, answers /status,
 #      drains on shutdown, and leaves a populated sharded store with
@@ -174,10 +174,11 @@ echo "==> batch throughput gate (batched vs unbatched sweep -> BENCH_batch.json)
 # topologies x [baseline + 7 strategies]), each fast-forwarding 1M
 # instructions before a short timed phase. Batched workers capture one
 # warmup checkpoint per (program, warmup) and recycle engine arenas;
-# CTCP_BATCH=off forces the one-cell-at-a-time path on the identical
-# grid. Best of 3 each to shed host noise. The batched path must be at
-# least 2x the unbatched cells/sec and within 125% of the committed
-# reference.
+# CTCP_BATCH=off runs the identical grid on the same scheduler path but
+# gives every cell a fresh runner, so each cell fast-forwards its own
+# warmup on a freshly allocated engine. Best of 3 each to shed host
+# noise. The batched path must be at least 2x the unbatched cells/sec
+# and within 125% of the committed reference.
 batch_cells=96
 batch_bench="sweep gzip,twolf x 7 strategies x {2,4} clusters x 3 topologies --warmup 1000000 --insts 2000 --jobs 1 (best of 3)"
 batch_sweep() {

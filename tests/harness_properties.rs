@@ -2,8 +2,8 @@
 //! benchmarks: parallel execution must be invisible in the output, and
 //! the memoizing result store must make a second identical run free.
 
-use ctcp::harness::{Harness, Job, ResultStore};
-use ctcp::sim::{SimConfig, SimReport, Strategy};
+use ctcp::harness::{CellScheduler, Harness, Job, ResultStore};
+use ctcp::sim::{SimConfig, SimReport, Simulation, Strategy};
 use ctcp::workload::Benchmark;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -125,4 +125,82 @@ fn partial_store_resumes_only_whats_missing() {
     let scratch = Harness::new().jobs(1).progress(false).run(&jobs);
     assert_eq!(table(&jobs, &reports), table(&jobs, &scratch));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One request whose cells switch between two programs in runs of one
+/// and two, every cell a distinct strategy, all sharing one budget.
+/// gzip and twolf retire identically for their first ~8k instructions,
+/// so budgets must reach past that for a mixed-up program to show.
+fn interleaved(warmup: u64, insts: u64) -> Vec<Job> {
+    let gzip = Arc::new(Benchmark::by_name("gzip").unwrap().program());
+    let twolf = Arc::new(Benchmark::by_name("twolf").unwrap().program());
+    let cells = [
+        ("gzip", Strategy::Baseline),
+        ("twolf", Strategy::Baseline),
+        ("twolf", Strategy::IssueTime { latency: 4 }),
+        ("gzip", Strategy::Friendly { middle_bias: false }),
+        ("gzip", Strategy::Fdrt { pinning: true }),
+        ("twolf", Strategy::Fdrt { pinning: true }),
+        ("gzip", Strategy::FdrtIntraOnly),
+    ];
+    cells
+        .iter()
+        .map(|&(name, strategy)| {
+            let program = if name == "gzip" { &gzip } else { &twolf };
+            let config = SimConfig {
+                strategy,
+                max_insts: insts,
+                warmup_insts: warmup,
+                ..SimConfig::default()
+            };
+            Job::new(name, Arc::clone(program), config)
+        })
+        .collect()
+}
+
+fn assert_direct(jobs: &[Job], reports: &[SimReport], how: &str) {
+    assert_eq!(reports.len(), jobs.len());
+    for (job, report) in jobs.iter().zip(reports) {
+        let direct = Simulation::builder(&job.program)
+            .config(job.config)
+            .build()
+            .unwrap()
+            .try_run()
+            .unwrap();
+        assert_eq!(
+            report.to_json(),
+            direct.to_json(),
+            "{how}: {}/{} (warmup {}) diverged from a direct run",
+            job.workload,
+            report.strategy,
+            job.config.warmup_insts
+        );
+    }
+}
+
+#[test]
+fn program_switches_rebind_the_runner_without_changing_a_byte() {
+    // Workers keep one runner bound to a program across consecutive
+    // cells and rebind it when the program changes; checkpoint reuse,
+    // rebinding and arena carry-over must all be invisible.
+    let requests = [interleaved(0, 20_000), interleaved(20_000, 3_000)];
+    for jobs in &requests {
+        for workers in [1, 2] {
+            let reports = Harness::new().jobs(workers).progress(false).run(jobs);
+            assert_direct(jobs, &reports, &format!("jobs({workers})"));
+        }
+    }
+    // Both requests at once on one shared pool: their cells interleave
+    // on the workers, so programs switch between requests too.
+    let sched = CellScheduler::start(2, 0);
+    std::thread::scope(|scope| {
+        for jobs in &requests {
+            let sched = sched.clone();
+            scope.spawn(move || {
+                let mut h = Harness::new().progress(false).with_scheduler(sched);
+                assert_direct(jobs, &h.run(jobs), "shared scheduler");
+            });
+        }
+    });
+    sched.shutdown();
 }
