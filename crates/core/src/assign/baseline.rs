@@ -1,9 +1,19 @@
 //! Baseline placement: no reordering.
 
+use super::Placement;
+
 /// The base architecture's placement: logical instruction `l` occupies
 /// physical slot `l`, so clusters fill in program order.
-pub fn baseline_placement(n: usize) -> Vec<u8> {
-    (0..n as u8).collect()
+///
+/// # Panics
+///
+/// Panics if `n` exceeds [`ctcp_tracecache::MAX_TRACE_LEN`].
+pub fn baseline_placement(n: usize) -> Placement {
+    let mut p = Placement::zeroed(n);
+    for (l, slot) in p.iter_mut().enumerate() {
+        *slot = l as u8;
+    }
+    p
 }
 
 #[cfg(test)]

@@ -17,9 +17,10 @@
 //!    clusters. Instructions that cannot be placed are assigned afterwards
 //!    by Friendly's method over the remaining slots.
 
-use crate::assign::friendly_placement_partial;
-use crate::ClusterGeometry;
-use ctcp_tracecache::{ChainRole, ProfileFields, RawTrace, TcLocation};
+use super::{friendly_placement_partial, Placement};
+use crate::{ClusterGeometry, ClusterList, MAX_CLUSTERS};
+use ctcp_isa::FxHashMap;
+use ctcp_tracecache::{ChainRole, ProfileFields, RawTrace, TcLocation, MAX_TRACE_LEN};
 use std::collections::HashMap;
 
 /// Read/update access to chain profile fields stored in the trace cache.
@@ -172,7 +173,7 @@ pub struct FdrtAssigner {
     config: FdrtConfig,
     stats: FdrtStats,
     /// Previous assigned cluster per static PC (for migration stats).
-    last_cluster: HashMap<u64, u8>,
+    last_cluster: FxHashMap<u64, u8>,
 }
 
 impl FdrtAssigner {
@@ -181,7 +182,7 @@ impl FdrtAssigner {
         FdrtAssigner {
             config,
             stats: FdrtStats::default(),
-            last_cluster: HashMap::new(),
+            last_cluster: FxHashMap::default(),
         }
     }
 
@@ -197,7 +198,7 @@ impl FdrtAssigner {
         trace: &mut RawTrace,
         geom: &ClusterGeometry,
         store: &mut dyn ChainStore,
-    ) -> Vec<u8> {
+    ) -> Placement {
         if self.config.chaining {
             self.update_chains(trace, store);
         }
@@ -281,14 +282,16 @@ impl FdrtAssigner {
         }
     }
 
-    /// Slot assignment per Table 5.
-    fn place(&mut self, trace: &RawTrace, geom: &ClusterGeometry) -> Vec<u8> {
+    /// Slot assignment per Table 5. Every working list is an inline
+    /// array bounded by the cluster count or the trace length, so a
+    /// placement costs no heap traffic.
+    fn place(&mut self, trace: &RawTrace, geom: &ClusterGeometry) -> Placement {
         let n = trace.len();
-        let clusters = geom.clusters as usize;
         let spc = geom.slots_per_cluster;
-        let mut counts = vec![0u8; clusters];
-        let mut cluster_of: Vec<Option<u8>> = vec![None; n];
-        let mut skipped: Vec<usize> = Vec::new();
+        let mut counts = [0u8; MAX_CLUSTERS as usize];
+        let mut cluster_of = [None; MAX_TRACE_LEN];
+        let mut skipped = [0u8; MAX_TRACE_LEN];
+        let mut n_skipped = 0;
         let middle = geom.middle_order();
 
         for i in 0..n {
@@ -314,51 +317,51 @@ impl FdrtAssigner {
             // first so systematic choices (e.g. producerless loads all
             // taking option D) spread over the eligible clusters instead
             // of serialising on one cluster's functional units.
-            let by_load = |mut cs: Vec<u8>, counts: &[u8]| -> Vec<u8> {
-                cs.sort_by_key(|&c| (counts[c as usize], geom.centrality(c), c));
+            let by_load = |mut cs: ClusterList, counts: &[u8]| -> ClusterList {
+                cs.sort_unstable_by_key(|&c| (counts[c as usize], geom.centrality(c), c));
                 cs
             };
 
             // Build the priority list of candidate clusters.
-            let mut prio: Vec<u8> = Vec::new();
+            let mut prio = ClusterList::default();
             let option_idx: usize;
             match (producer_cluster, chain) {
                 (Some(pc), None) => {
                     // Option A: intra-trace producer, then its neighbours.
                     option_idx = 0;
                     prio.push(pc);
-                    prio.extend(by_load(geom.neighbors(pc), &counts));
+                    by_load(geom.neighbors(pc), &counts)
+                        .iter()
+                        .for_each(|&nb| prio.push(nb));
                 }
                 (None, Some(cc)) => {
                     // Option B: chain cluster, then its neighbours.
                     option_idx = 1;
                     prio.push(cc);
-                    prio.extend(by_load(geom.neighbors(cc), &counts));
+                    by_load(geom.neighbors(cc), &counts)
+                        .iter()
+                        .for_each(|&nb| prio.push(nb));
                 }
                 (Some(pc), Some(cc)) => {
                     // Option C: chain first, then the producer, then the
                     // chain's neighbours.
                     option_idx = 2;
                     prio.push(cc);
-                    if !prio.contains(&pc) {
-                        prio.push(pc);
-                    }
-                    for nb in by_load(geom.neighbors(cc), &counts) {
-                        if !prio.contains(&nb) {
-                            prio.push(nb);
-                        }
-                    }
+                    prio.push_unique(pc);
+                    by_load(geom.neighbors(cc), &counts)
+                        .iter()
+                        .for_each(|&nb| prio.push_unique(nb));
                 }
                 (None, None) if has_consumer => {
                     // Option D: middle cluster(s), least-loaded first.
                     option_idx = 3;
                     let central = middle.first().map(|&c| geom.centrality(c));
-                    let tier: Vec<u8> = middle
+                    let tier: ClusterList = middle
                         .iter()
                         .copied()
                         .filter(|&c| Some(geom.centrality(c)) == central)
                         .collect();
-                    prio.extend(by_load(tier, &counts));
+                    prio = by_load(tier, &counts);
                 }
                 (None, None) => {
                     // Option E: nothing to go on; defer to the fallback.
@@ -379,21 +382,22 @@ impl FdrtAssigner {
                     } else {
                         self.stats.skipped += 1;
                     }
-                    skipped.push(i);
+                    skipped[n_skipped] = i as u8;
+                    n_skipped += 1;
                 }
             }
         }
 
         // Fallback: Friendly's method over the remaining instructions and
         // slots.
-        let placement = friendly_placement_partial(trace, geom, &mut cluster_of, &skipped);
+        let placement =
+            friendly_placement_partial(trace, geom, &mut cluster_of[..n], &skipped[..n_skipped]);
 
         // Migration statistics against the final placement.
         for (i, &slot) in placement.iter().enumerate() {
             let cluster = geom.cluster_of_slot(slot);
-            let pc = trace.insts[i].pc;
             let is_chain = trace.insts[i].profile.is_chain_member();
-            if let Some(&prev) = self.last_cluster.get(&pc) {
+            if let Some(prev) = self.last_cluster.insert(trace.insts[i].pc, cluster) {
                 self.stats.migration_samples += 1;
                 if is_chain {
                     self.stats.chain_samples += 1;
@@ -405,7 +409,6 @@ impl FdrtAssigner {
                     }
                 }
             }
-            self.last_cluster.insert(pc, cluster);
         }
         placement
     }

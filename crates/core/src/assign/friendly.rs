@@ -9,8 +9,9 @@
 //! producer already placed on that slot's cluster, falling back to the
 //! oldest unplaced instruction.
 
-use crate::ClusterGeometry;
-use ctcp_tracecache::RawTrace;
+use super::Placement;
+use crate::{ClusterGeometry, ClusterList, MAX_CLUSTERS};
+use ctcp_tracecache::{RawTrace, MAX_TRACE_LEN};
 
 /// The order in which Friendly's algorithm walks issue slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,17 +25,73 @@ pub enum SlotFillOrder {
     MiddleFirst,
 }
 
+/// Logical positions not yet placed, oldest first, held inline.
+struct Unplaced {
+    len: usize,
+    pos: [u8; MAX_TRACE_LEN],
+}
+
+impl Unplaced {
+    fn of(positions: impl IntoIterator<Item = u8>) -> Self {
+        let mut u = Unplaced {
+            len: 0,
+            pos: [0; MAX_TRACE_LEN],
+        };
+        for p in positions {
+            u.pos[u.len] = p;
+            u.len += 1;
+        }
+        u
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Friendly's rule for a slot on `cluster`: removes and returns the
+    /// oldest unplaced instruction with an intra-trace producer already
+    /// placed on that cluster, else the oldest unplaced instruction.
+    fn take_for(&mut self, trace: &RawTrace, cluster_of: &[Option<u8>], cluster: u8) -> usize {
+        let pick = self.pos[..self.len]
+            .iter()
+            .position(|&i| {
+                trace.intra_producers[i as usize]
+                    .iter()
+                    .flatten()
+                    .any(|&p| cluster_of[p as usize] == Some(cluster))
+            })
+            .unwrap_or(0);
+        let i = self.pos[pick];
+        self.pos.copy_within(pick + 1..self.len, pick);
+        self.len -= 1;
+        i as usize
+    }
+}
+
 /// Computes Friendly's placement for `trace`.
 pub fn friendly_placement(
     trace: &RawTrace,
     geom: &ClusterGeometry,
     order: SlotFillOrder,
-) -> Vec<u8> {
+) -> Placement {
     let capacity = geom.total_slots();
     let n = trace.len();
     debug_assert!(n <= capacity);
-    let slots: Vec<u8> = match order {
-        SlotFillOrder::Sequential => (0..capacity as u8).collect(),
+    let spc = geom.slots_per_cluster;
+    let mut placement = Placement::zeroed(n);
+    let mut cluster_of = [None; MAX_TRACE_LEN];
+    let mut unplaced = Unplaced::of(0..n as u8);
+    let mut place = |slot: u8| {
+        if unplaced.is_empty() {
+            return;
+        }
+        let cluster = geom.cluster_of_slot(slot);
+        let i = unplaced.take_for(trace, &cluster_of, cluster);
+        placement[i] = slot;
+        cluster_of[i] = Some(cluster);
+    };
+    match order {
+        SlotFillOrder::Sequential => (0..capacity as u8).for_each(&mut place),
         SlotFillOrder::MiddleFirst => {
             // Cluster-major, but walking the clusters starting from the
             // most central one and moving to adjacent clusters, so small
@@ -42,56 +99,34 @@ pub fn friendly_placement(
             // instructions can still gather within one cluster before the
             // walk moves on (slot-interleaving the clusters instead would
             // ping-pong each dependency chain between two clusters).
-            let mut walk: Vec<u8> = Vec::with_capacity(geom.clusters as usize);
+            let mut walk = ClusterList::default();
             let mut cur = geom.middle_order()[0];
             walk.push(cur);
             while walk.len() < geom.clusters as usize {
                 let next = geom
                     .neighbors(cur)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .find(|c| !walk.contains(c))
                     .or_else(|| (0..geom.clusters).find(|c| !walk.contains(c)))
                     .expect("unvisited cluster exists");
                 walk.push(next);
                 cur = next;
             }
-            walk.iter()
-                .flat_map(|&c| {
-                    (0..geom.slots_per_cluster).map(move |k| c * geom.slots_per_cluster + k)
-                })
-                .collect()
+            for &c in walk.iter() {
+                (0..spc).for_each(|k| place(c * spc + k));
+            }
         }
-    };
-
-    let mut placement = vec![0u8; n];
-    let mut cluster_of: Vec<Option<u8>> = vec![None; n];
-    let mut unplaced: Vec<usize> = (0..n).collect();
-    for &slot in &slots {
-        if unplaced.is_empty() {
-            break;
-        }
-        let cluster = geom.cluster_of_slot(slot);
-        let pick = unplaced
-            .iter()
-            .position(|&i| {
-                trace.intra_producers[i]
-                    .iter()
-                    .flatten()
-                    .any(|&p| cluster_of[p as usize] == Some(cluster))
-            })
-            .unwrap_or(0);
-        let i = unplaced.remove(pick);
-        placement[i] = slot;
-        cluster_of[i] = Some(cluster);
     }
     placement
 }
 
 /// Completes a partial cluster assignment: instructions with a cluster in
 /// `cluster_of` receive concrete slots within that cluster (in logical
-/// order); the `skipped` instructions are then placed over the remaining
-/// slots by Friendly's rule. Returns the full placement and records the
-/// final cluster of every instruction back into `cluster_of`.
+/// order); the `skipped` instructions (logical positions, oldest first)
+/// are then placed over the remaining slots by Friendly's rule. Returns
+/// the full placement and records the final cluster of every
+/// instruction back into `cluster_of`.
 ///
 /// Used as the FDRT fallback ("These instructions are later assigned to
 /// the remaining slots using Friendly's method", §4.3).
@@ -99,14 +134,14 @@ pub(crate) fn friendly_placement_partial(
     trace: &RawTrace,
     geom: &ClusterGeometry,
     cluster_of: &mut [Option<u8>],
-    skipped: &[usize],
-) -> Vec<u8> {
+    skipped: &[u8],
+) -> Placement {
     let capacity = geom.total_slots();
     let n = trace.len();
     let spc = geom.slots_per_cluster as usize;
-    let mut placement = vec![0u8; n];
-    let mut slot_used = vec![false; capacity];
-    let mut next_in_cluster = vec![0usize; geom.clusters as usize];
+    let mut placement = Placement::zeroed(n);
+    let mut slot_used = [false; u8::MAX as usize + 1]; // one flag per `u8` slot
+    let mut next_in_cluster = [0usize; MAX_CLUSTERS as usize];
     for i in 0..n {
         if let Some(c) = cluster_of[i] {
             let base = c as usize * spc;
@@ -117,8 +152,8 @@ pub(crate) fn friendly_placement_partial(
             next_in_cluster[c as usize] = k + 1;
         }
     }
-    let mut unplaced: Vec<usize> = skipped.to_vec();
-    for (slot, used) in slot_used.iter_mut().enumerate() {
+    let mut unplaced = Unplaced::of(skipped.iter().copied());
+    for (slot, used) in slot_used[..capacity].iter_mut().enumerate() {
         if unplaced.is_empty() {
             break;
         }
@@ -126,16 +161,7 @@ pub(crate) fn friendly_placement_partial(
             continue;
         }
         let cluster = geom.cluster_of_slot(slot as u8);
-        let pick = unplaced
-            .iter()
-            .position(|&i| {
-                trace.intra_producers[i]
-                    .iter()
-                    .flatten()
-                    .any(|&p| cluster_of[p as usize] == Some(cluster))
-            })
-            .unwrap_or(0);
-        let i = unplaced.remove(pick);
+        let i = unplaced.take_for(trace, cluster_of, cluster);
         placement[i] = slot as u8;
         cluster_of[i] = Some(cluster);
         *used = true;

@@ -22,6 +22,7 @@ use ctcp_telemetry::{
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// One instruction delivered by the front-end, already renamed into a
 /// fetch-group slot. `slot` determines the cluster under slot-based
@@ -219,6 +220,25 @@ impl ClusterState {
     }
 }
 
+/// Engine knobs taken from the environment. They are read once per
+/// process: construction sits on the per-cell path, and neither knob
+/// can change mid-process.
+#[derive(Debug, Clone, Copy)]
+struct EnvKnobs {
+    /// `CTCP_TRACE` is set: print per-instruction debug lines.
+    debug_trace: bool,
+    /// `CTCP_SCHED` is not `legacy`: use the event-driven scheduler.
+    event_driven: bool,
+}
+
+fn env_knobs() -> EnvKnobs {
+    static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
+    *KNOBS.get_or_init(|| EnvKnobs {
+        debug_trace: std::env::var("CTCP_TRACE").is_ok(),
+        event_driven: std::env::var("CTCP_SCHED").map_or(true, |v| v != "legacy"),
+    })
+}
+
 /// The clustered out-of-order engine: rename → steer → dispatch →
 /// select/execute → complete → retire, with distance-proportional
 /// inter-cluster operand forwarding.
@@ -237,8 +257,8 @@ pub struct Engine {
     /// Cached `probe.enabled()`: the telemetry-off fast path is one
     /// branch per hook site, never a virtual call.
     probe_on: bool,
-    /// Cached `CTCP_TRACE` env check (an env lookup per executed
-    /// instruction is measurable; the flag cannot change mid-run).
+    /// `CTCP_TRACE` knob (see [`env_knobs`]), cached per engine so the
+    /// per-instruction check is one field load.
     debug_trace: bool,
     /// Event-driven scheduling (the default). `false` selects the
     /// legacy scan-per-cycle path, kept as a determinism oracle.
@@ -259,8 +279,9 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an empty engine. The scheduler defaults to event-driven;
-    /// set `CTCP_SCHED=legacy` in the environment (or call
-    /// [`Engine::set_legacy_scheduler`]) to select the scan oracle.
+    /// set `CTCP_SCHED=legacy` in the process environment (read once, at
+    /// the first construction) or call [`Engine::set_legacy_scheduler`]
+    /// to select the scan oracle.
     pub fn new(cfg: EngineConfig, mode: SteeringMode) -> Self {
         Engine::with_arena(cfg, mode, EngineArena::default())
     }
@@ -301,8 +322,8 @@ impl Engine {
             history: ProducerHistory::default(),
             probe: Rc::new(NullProbe),
             probe_on: false,
-            debug_trace: std::env::var("CTCP_TRACE").is_ok(),
-            event_driven: std::env::var("CTCP_SCHED").map_or(true, |v| v != "legacy"),
+            debug_trace: env_knobs().debug_trace,
+            event_driven: env_knobs().event_driven,
             wheel: CompletionWheel::from_slots(wheel_slots),
             scratch_events: events,
             consumers,
@@ -591,7 +612,7 @@ impl Engine {
             }
         }
         if nc > 0 {
-            for nb in self.cfg.geometry.neighbors(candidates[0]) {
+            for &nb in self.cfg.geometry.neighbors(candidates[0]).iter() {
                 if nc < candidates.len() && !candidates[..nc].contains(&nb) {
                     candidates[nc] = nb;
                     nc += 1;
@@ -847,11 +868,12 @@ impl Engine {
         let mut issued = [0u32; 8];
         for ci in 0..self.clusters.len() {
             for rsi in 0..5 {
-                self.clusters[ci].queues[rsi].promote(now);
-                if self.clusters[ci].queues[rsi].ready.is_empty() {
+                let queue = &mut self.clusters[ci].queues[rsi];
+                queue.promote(now);
+                if queue.ready.is_empty() {
                     continue;
                 }
-                let mut ready = std::mem::take(&mut self.clusters[ci].queues[rsi].ready);
+                let mut ready = std::mem::take(&mut queue.ready);
                 let mut keep = 0;
                 for i in 0..ready.len() {
                     let seq = ready[i];

@@ -1,12 +1,12 @@
 //! Forwarding statistics: everything Tables 2, 3, 8 and Figure 4 need.
 
-use std::collections::HashMap;
+use ctcp_isa::FxHashMap;
 
 /// Tracks, per static instruction, the last observed forwarding producer
 /// of each source register, to measure producer repetition (Table 3).
 #[derive(Debug, Default)]
 pub struct ProducerHistory {
-    last: HashMap<u64, [Option<u64>; 2]>,
+    last: FxHashMap<u64, [Option<u64>; 2]>,
     /// (same, total) per source, over all forwarded inputs.
     all: [(u64, u64); 2],
     /// (same, total) per source, over critical inter-trace inputs only.

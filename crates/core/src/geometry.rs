@@ -1,5 +1,13 @@
 //! Cluster geometry and the inter-cluster interconnect.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
+/// The most clusters the engine supports: the bound of its fixed-size
+/// per-cluster arrays (see `EngineStats::executed_per_cluster`) and the
+/// capacity of a [`ClusterList`].
+pub const MAX_CLUSTERS: u8 = 8;
+
 /// Interconnect topology between clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
@@ -61,12 +69,14 @@ impl ClusterGeometry {
         }
     }
 
-    /// Clusters at distance 1 from `c`, nearest-to-centre first.
-    pub fn neighbors(&self, c: u8) -> Vec<u8> {
-        let mut n: Vec<u8> = (0..self.clusters)
+    /// Clusters at distance 1 from `c`, nearest-to-centre first (ties
+    /// by index), as an inline list: steering and FDRT placement ask for
+    /// it once per instruction, so it never touches the heap.
+    pub fn neighbors(&self, c: u8) -> ClusterList {
+        let mut n: ClusterList = (0..self.clusters)
             .filter(|&o| self.distance(c, o) == 1)
             .collect();
-        n.sort_by_key(|&o| self.centrality(o));
+        n.sort_unstable_by_key(|&o| (self.centrality(o), o));
         n
     }
 
@@ -82,10 +92,68 @@ impl ClusterGeometry {
     /// All clusters ordered most-central first (the "middle clusters" the
     /// FDRT strategy funnels unattached producers to), ties broken by
     /// index.
-    pub fn middle_order(&self) -> Vec<u8> {
-        let mut order: Vec<u8> = (0..self.clusters).collect();
-        order.sort_by_key(|&c| (self.centrality(c), c));
+    pub fn middle_order(&self) -> ClusterList {
+        let mut order: ClusterList = (0..self.clusters).collect();
+        order.sort_unstable_by_key(|&c| (self.centrality(c), c));
         order
+    }
+}
+
+/// An ordered list of at most [`MAX_CLUSTERS`] cluster ids, held inline
+/// (`Copy`, no heap). Derefs to `[u8]`.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterList {
+    len: u8,
+    ids: [u8; MAX_CLUSTERS as usize],
+}
+
+impl ClusterList {
+    /// Appends `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`MAX_CLUSTERS`] ids.
+    pub fn push(&mut self, c: u8) {
+        assert!(self.len < MAX_CLUSTERS, "cluster list is full");
+        self.ids[self.len as usize] = c;
+        self.len += 1;
+    }
+
+    /// Appends `c` unless the list already holds it.
+    pub fn push_unique(&mut self, c: u8) {
+        if !self.contains(&c) {
+            self.push(c);
+        }
+    }
+}
+
+impl Deref for ClusterList {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl DerefMut for ClusterList {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.ids[..self.len as usize]
+    }
+}
+
+impl FromIterator<u8> for ClusterList {
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        let mut list = ClusterList::default();
+        for c in iter {
+            list.push(c);
+        }
+        list
+    }
+}
+
+impl fmt::Debug for ClusterList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -134,8 +202,8 @@ mod tests {
     #[test]
     fn neighbors_linear() {
         let g = linear4();
-        assert_eq!(g.neighbors(0), vec![1]);
-        assert_eq!(g.neighbors(3), vec![2]);
+        assert_eq!(*g.neighbors(0), [1]);
+        assert_eq!(*g.neighbors(3), [2]);
         // Both neighbors, more central one first.
         let n1 = g.neighbors(1);
         assert_eq!(n1.len(), 2);
@@ -187,7 +255,62 @@ mod tests {
         };
         assert_eq!(g.total_slots(), 8);
         assert_eq!(g.distance(0, 1), 1);
-        assert_eq!(g.neighbors(0), vec![1]);
-        assert_eq!(g.middle_order(), vec![0, 1]);
+        assert_eq!(*g.neighbors(0), [1]);
+        assert_eq!(*g.neighbors(1), [0]);
+        assert_eq!(*g.middle_order(), [0, 1]);
+    }
+
+    #[test]
+    fn eight_fully_connected_clusters_fill_the_list() {
+        let g = ClusterGeometry {
+            clusters: MAX_CLUSTERS,
+            slots_per_cluster: 2,
+            topology: Topology::FullyConnected,
+        };
+        for c in 0..MAX_CLUSTERS {
+            let n = g.neighbors(c);
+            // Seven neighbours, the list's maximum for one cluster, all
+            // equally central, so they come back in index order.
+            let expect: Vec<u8> = (0..MAX_CLUSTERS).filter(|&o| o != c).collect();
+            assert_eq!(*n, *expect);
+        }
+        assert_eq!(*g.middle_order(), [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn eight_cluster_linear_and_ring_orders() {
+        let linear = ClusterGeometry {
+            clusters: 8,
+            slots_per_cluster: 2,
+            topology: Topology::Linear,
+        };
+        assert_eq!(*linear.middle_order(), [3, 4, 2, 5, 1, 6, 0, 7]);
+        // Cluster 3's neighbours are 4 (centrality 4) then 2 (5).
+        assert_eq!(*linear.neighbors(3), [4, 2]);
+        let ring = ClusterGeometry {
+            topology: Topology::Ring,
+            ..linear
+        };
+        assert_eq!(*ring.neighbors(0), [1, 7]);
+        assert_eq!(*ring.neighbors(7), [0, 6]);
+    }
+
+    #[test]
+    fn cluster_list_is_an_inline_slice() {
+        let mut l: ClusterList = [2u8, 0].into_iter().collect();
+        l.push_unique(2);
+        l.push_unique(5);
+        assert_eq!(*l, [2, 0, 5]);
+        l.sort_unstable();
+        assert_eq!(*l, [0, 2, 5]);
+        assert_eq!(format!("{l:?}"), "[0, 2, 5]");
+        let full: ClusterList = (0..MAX_CLUSTERS).collect();
+        assert_eq!(full.len(), MAX_CLUSTERS as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster list is full")]
+    fn cluster_list_rejects_a_ninth_id() {
+        let _: ClusterList = (0..=MAX_CLUSTERS).collect();
     }
 }

@@ -46,5 +46,5 @@ pub use engine::{
     Engine, EngineMetrics, EngineStats, FetchedInst, RetiredInst, SteeringMode, TickResult,
 };
 pub use forwarding::{ForwardingStats, ProducerHistory};
-pub use geometry::{ClusterGeometry, Topology};
+pub use geometry::{ClusterGeometry, ClusterList, Topology, MAX_CLUSTERS};
 pub use rs::RsClass;

@@ -164,8 +164,16 @@ impl ReadyQueue {
     }
 
     /// Moves every pending entry whose arrival cycle has come into the
-    /// ready list.
+    /// ready list. Select calls this for every station every cycle, so
+    /// the common case — nothing due — is one inlined head check.
+    #[inline]
     pub(crate) fn promote(&mut self, now: u64) {
+        if self.pending.first().is_some_and(|&(at, _)| at <= now) {
+            self.promote_due(now);
+        }
+    }
+
+    fn promote_due(&mut self, now: u64) {
         let n = self.pending.partition_point(|&(at, _)| at <= now);
         for idx in 0..n {
             let seq = self.pending[idx].1;

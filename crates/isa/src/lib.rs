@@ -34,6 +34,7 @@
 pub mod asm;
 mod dyninst;
 mod exec;
+mod fxhash;
 mod inst;
 mod mem;
 mod op;
@@ -42,6 +43,7 @@ mod reg;
 
 pub use dyninst::{BranchOutcome, DynInst};
 pub use exec::{ExecError, Executor};
+pub use fxhash::{FxHashMap, FxHasher};
 pub use inst::Instruction;
 pub use mem::WordMemory;
 pub use op::{FuType, OpClass, Opcode};

@@ -1,6 +1,6 @@
 //! Sparse word-addressable data memory used by the functional executor.
 
-use std::collections::HashMap;
+use crate::FxHashMap;
 
 const PAGE_WORDS: usize = 1024;
 const PAGE_SHIFT: u32 = 10; // 1024 words per page
@@ -12,7 +12,7 @@ const PAGE_SHIFT: u32 = 10; // 1024 words per page
 /// ignored). Untouched memory reads as zero.
 #[derive(Debug, Default, Clone)]
 pub struct WordMemory {
-    pages: HashMap<u64, Box<[i64; PAGE_WORDS]>>,
+    pages: FxHashMap<u64, Box<[i64; PAGE_WORDS]>>,
 }
 
 impl WordMemory {

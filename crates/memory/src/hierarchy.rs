@@ -229,12 +229,12 @@ impl DataMemory {
     /// Applies retired-store drains to the cache hierarchy (write
     /// allocate, no timing effect on the pipeline).
     pub fn drain_stores(&mut self, max: usize) {
-        let addrs = self.store_buffer.drain_retired(max);
-        for a in addrs {
-            if !self.l1.access(a) {
-                self.l2.access(a);
+        let (l1, l2) = (&mut self.l1, &mut self.l2);
+        self.store_buffer.drain_retired(max, |a| {
+            if !l1.access(a) {
+                l2.access(a);
             }
-        }
+        });
     }
 }
 

@@ -1,18 +1,20 @@
 //! Miss status holding registers for a non-blocking cache.
 
-use std::collections::HashMap;
-
 /// A file of miss status holding registers (MSHRs).
 ///
 /// Each outstanding cache-line miss occupies one MSHR until its fill
 /// completes. Misses to a line that is already outstanding merge into the
 /// existing MSHR (and see its remaining latency). When all MSHRs are busy
 /// a new miss must wait until the earliest fill frees one.
+///
+/// The registers are a fixed array of `capacity` entries, allocated at
+/// construction and never grown, so misses cost no heap traffic.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    /// line address -> cycle at which the fill completes
-    outstanding: HashMap<u64, u64>,
+    /// Busy registers as `(line address, cycle the fill completes)`;
+    /// never longer than the `capacity` it was allocated with.
+    outstanding: Vec<(u64, u64)>,
     /// Total merges observed (secondary misses to an outstanding line).
     merges: u64,
     /// Total cycles spent waiting because the file was full.
@@ -29,15 +31,22 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR file must have at least one register");
         MshrFile {
             capacity,
-            outstanding: HashMap::new(),
+            outstanding: Vec::with_capacity(capacity),
             merges: 0,
             full_stalls: 0,
         }
     }
 
+    fn done_of(&self, line_addr: u64) -> Option<u64> {
+        self.outstanding
+            .iter()
+            .find(|&&(line, _)| line == line_addr)
+            .map(|&(_, done)| done)
+    }
+
     /// Drops entries whose fills have completed by `now`.
     pub fn expire(&mut self, now: u64) {
-        self.outstanding.retain(|_, &mut done| done > now);
+        self.outstanding.retain(|&(_, done)| done > now);
     }
 
     /// Registers a miss for `line_addr` issued at `now` whose fill takes
@@ -45,7 +54,7 @@ impl MshrFile {
     /// available, accounting for merging and structural stalls.
     pub fn allocate(&mut self, line_addr: u64, now: u64, fill_latency: u64) -> u64 {
         self.expire(now);
-        if let Some(&done) = self.outstanding.get(&line_addr) {
+        if let Some(done) = self.done_of(line_addr) {
             self.merges += 1;
             return done;
         }
@@ -53,33 +62,25 @@ impl MshrFile {
             // Wait for the earliest fill to free a register.
             let earliest = self
                 .outstanding
-                .values()
-                .copied()
+                .iter()
+                .map(|&(_, done)| done)
                 .min()
                 .expect("file is full, so non-empty");
             self.full_stalls += earliest.saturating_sub(now);
             // That register is now free for reuse.
-            let stale: Vec<u64> = self
-                .outstanding
-                .iter()
-                .filter(|(_, &d)| d <= earliest)
-                .map(|(&a, _)| a)
-                .collect();
-            for a in stale {
-                self.outstanding.remove(&a);
-            }
+            self.outstanding.retain(|&(_, done)| done > earliest);
             earliest
         } else {
             now
         };
         let done = start + fill_latency;
-        self.outstanding.insert(line_addr, done);
+        self.outstanding.push((line_addr, done));
         done
     }
 
     /// True if a miss for `line_addr` is currently outstanding at `now`.
     pub fn is_outstanding(&self, line_addr: u64, now: u64) -> bool {
-        self.outstanding.get(&line_addr).is_some_and(|&d| d > now)
+        self.done_of(line_addr).is_some_and(|d| d > now)
     }
 
     /// Number of registers currently in use (after expiring at `now`).

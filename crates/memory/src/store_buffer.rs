@@ -106,19 +106,18 @@ impl StoreBuffer {
     }
 
     /// Drains up to `max` retired stores from the head of the buffer,
-    /// returning their addresses (the caller writes them to the cache).
-    pub fn drain_retired(&mut self, max: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        while out.len() < max {
+    /// passing each address to `write` in order (the caller writes them
+    /// to the cache).
+    pub fn drain_retired(&mut self, max: usize, mut write: impl FnMut(u64)) {
+        for _ in 0..max {
             match self.entries.front() {
                 Some(e) if e.retired => {
-                    out.push(e.addr);
+                    write(e.addr);
                     self.entries.pop_front();
                 }
                 _ => break,
             }
         }
-        out
     }
 
     /// Removes all stores younger than or equal to `seq` (pipeline flush).
@@ -187,6 +186,12 @@ mod tests {
         assert!(!sb.has_room());
     }
 
+    fn drained(sb: &mut StoreBuffer, max: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        sb.drain_retired(max, |a| out.push(a));
+        out
+    }
+
     #[test]
     fn drain_respects_retirement_and_order() {
         let mut sb = StoreBuffer::new(4);
@@ -196,10 +201,10 @@ mod tests {
         sb.mark_retired(1);
         sb.mark_retired(3);
         // Only the head run of retired stores drains.
-        assert_eq!(sb.drain_retired(4), vec![0x10]);
+        assert_eq!(drained(&mut sb, 4), vec![0x10]);
         sb.mark_retired(2);
-        assert_eq!(sb.drain_retired(1), vec![0x20]);
-        assert_eq!(sb.drain_retired(4), vec![0x30]);
+        assert_eq!(drained(&mut sb, 1), vec![0x20]);
+        assert_eq!(drained(&mut sb, 4), vec![0x30]);
         assert!(sb.is_empty());
     }
 

@@ -15,9 +15,7 @@ use ctcp_isa::Program;
 use ctcp_telemetry::Probe;
 use std::rc::Rc;
 
-/// The number of clusters the engine's fixed-size per-cluster counter
-/// arrays support (see `EngineStats::executed_per_cluster`).
-pub const MAX_CLUSTERS: u8 = 8;
+pub use ctcp_core::MAX_CLUSTERS;
 
 /// A structurally invalid [`SimConfig`], rejected by
 /// [`SimBuilder::build`] before the simulation is constructed.

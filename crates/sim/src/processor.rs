@@ -10,7 +10,7 @@ use ctcp_frontend::{BranchPredictor, Btb, HybridPredictor, ICache, ReturnAddress
 use ctcp_isa::{DynInst, Executor, Opcode, Program};
 use ctcp_telemetry::{Counter, Hist, Probe, RetireSlotKind};
 use ctcp_tracecache::{
-    FillUnit, PendingInst, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
+    FillUnit, PendingInst, RawTrace, TcLocation, TraceCache, TraceHead, TraceLine, TraceSlot,
 };
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -46,7 +46,14 @@ pub struct Simulation<'p> {
     retire_strategy: RetireTimeStrategy,
     /// Reused across cycles so `Engine::tick_into` never allocates.
     tick_buf: TickResult,
+    /// Fetch groups waiting for rename, with the cycle each is due.
     delivery: VecDeque<(u64, Vec<FetchedInst>)>,
+    /// Emptied group buffers: fetch takes one, delivery returns it once
+    /// the engine has accepted the group.
+    spare_groups: Vec<Vec<FetchedInst>>,
+    /// Scratch holding a trace-cache hit's slots in logical order while
+    /// fetch walks them (reused every hit).
+    hit_slots: Vec<(u8, TraceSlot)>,
     installs: VecDeque<(u64, TraceLine)>,
     now: u64,
     fetch_resume: u64,
@@ -127,6 +134,8 @@ impl<'p> Simulation<'p> {
             retire_strategy: cfg.strategy.retire_time(),
             tick_buf: TickResult::default(),
             delivery: VecDeque::new(),
+            spare_groups: Vec::new(),
+            hit_slots: Vec::new(),
             installs: VecDeque::new(),
             now: 0,
             fetch_resume: 0,
@@ -268,8 +277,10 @@ impl<'p> Simulation<'p> {
         // 3. Deliver the oldest group to rename if the engine has room.
         if let Some((at, group)) = self.delivery.front() {
             if *at <= now && self.engine.can_accept(group.len()) {
-                let (_, group) = self.delivery.pop_front().expect("checked front");
+                let (_, mut group) = self.delivery.pop_front().expect("checked front");
                 self.engine.accept(&group, now);
+                group.clear();
+                self.spare_groups.push(group);
             }
         }
 
@@ -359,12 +370,13 @@ impl<'p> Simulation<'p> {
     }
 
     /// Runs retire-time assignment on a finalised trace and schedules its
-    /// installation.
-    fn build_and_install(&mut self, mut raw: ctcp_tracecache::RawTrace, now: u64) {
+    /// installation. The line reuses a displaced line's storage and the
+    /// spent trace goes back to the fill unit, so nothing is allocated.
+    fn build_and_install(&mut self, mut raw: RawTrace, now: u64) {
         let placement =
             self.retire_strategy
                 .assign(&mut raw, &self.cfg.engine.geometry, &mut self.tc);
-        let line = TraceLine::from_raw(&raw, &placement, self.cfg.trace_cache.line_capacity);
+        let line = self.tc.new_line(&raw, &placement);
         if self.probe_on {
             self.probe.observe(Hist::TraceSize, raw.len() as u64);
             for d in line.reorder_distances() {
@@ -372,6 +384,7 @@ impl<'p> Simulation<'p> {
             }
         }
         self.installs.push_back((now + self.fill.latency(), line));
+        self.fill.recycle(raw);
     }
 
     /// Predicts one fetched control transfer. Returns `true` when the
@@ -430,22 +443,32 @@ impl<'p> Simulation<'p> {
         };
         let pc = d0.pc;
 
-        // Trace cache lookup with multiple-branch prediction.
+        // Trace cache lookup with multiple-branch prediction; a hit's
+        // slots are copied out in logical order so the walk below can
+        // consume the stream while the line stays in the cache.
         let predictor = &self.predictor;
-        let line_info: Option<(u64, Vec<(u8, TraceSlot)>)> = self
+        let mut slots = std::mem::take(&mut self.hit_slots);
+        slots.clear();
+        let hit_line = self
             .tc
             .lookup(pc, |bpc| predictor.predict(bpc))
-            .map(|line| (line.id, line.logical_iter().map(|(p, s)| (p, *s)).collect()));
+            .map(|line| {
+                slots.extend(line.logical_iter().map(|(p, s)| (p, *s)));
+                line.id
+            });
 
         let fetch_width = self.cfg.engine.geometry.total_slots();
         let group_id = self.group_ctr;
         self.group_ctr += 1;
-        let mut group: Vec<FetchedInst> = Vec::new();
+        let mut group = self
+            .spare_groups
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(fetch_width));
         let mut mispredicted_seq: Option<u64> = None;
 
-        let (latency, from_tc) = match line_info {
-            Some((line_id, slots)) => {
-                for (phys, slot) in slots {
+        let (latency, from_tc) = match hit_line {
+            Some(line_id) => {
+                for &(phys, slot) in &slots {
                     let matches = self.stream.peek(0).is_some_and(|d| d.pc == slot.pc);
                     if !matches {
                         break;
@@ -523,7 +546,9 @@ impl<'p> Simulation<'p> {
             }
         };
 
+        self.hit_slots = slots;
         if group.is_empty() {
+            self.spare_groups.push(group);
             return;
         }
         if self.probe_on {

@@ -1,7 +1,13 @@
 //! The trace cache proper.
 
-use crate::{ProfileFields, TcLocation, TraceLine};
-use std::collections::HashMap;
+use crate::{ProfileFields, RawTrace, TcLocation, TraceLine};
+use ctcp_isa::FxHashMap;
+
+/// Displaced lines the cache keeps for [`TraceCache::new_line`] to
+/// reuse. Each install displaces at most one line and each build takes
+/// one, so a short list covers the install latency's few lines in
+/// flight.
+const SPARE_LINES: usize = 4;
 
 /// Trace cache geometry (defaults match Table 7: 2-way, 1K entries,
 /// 3-cycle access, 16-instruction lines).
@@ -68,7 +74,9 @@ pub struct TraceCache {
     next_id: u64,
     stats: TraceCacheStats,
     /// line id -> (set, position-independent id lookup)
-    resident: HashMap<u64, usize>,
+    resident: FxHashMap<u64, usize>,
+    /// Storage of replaced and evicted lines, for [`TraceCache::new_line`].
+    spare: Vec<TraceLine>,
 }
 
 impl TraceCache {
@@ -88,7 +96,8 @@ impl TraceCache {
             tick: 0,
             next_id: 1,
             stats: TraceCacheStats::default(),
-            resident: HashMap::new(),
+            resident: FxHashMap::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -131,29 +140,48 @@ impl TraceCache {
         }
     }
 
+    /// Builds a line for `raw` under `placement`, as
+    /// [`TraceLine::from_raw`] at this cache's line capacity, reusing the
+    /// storage of a line an earlier [`TraceCache::install`] displaced
+    /// when one is spare.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceLine::from_raw`].
+    pub fn new_line(&mut self, raw: &RawTrace, placement: &[u8]) -> TraceLine {
+        let capacity = self.config.line_capacity;
+        match self.spare.pop() {
+            Some(mut line) => {
+                line.refill(raw, placement, capacity);
+                line
+            }
+            None => TraceLine::from_raw(raw, placement, capacity),
+        }
+    }
+
     /// Installs `line`. An existing line with the same start PC and
     /// identical conditional path is replaced in place and **keeps its
     /// line id**, so `TcLocation`s held by in-flight instructions stay
     /// valid across the rebuild (slot contents are still verified by PC
     /// at update time). Otherwise a fresh id is assigned and the set's
-    /// LRU way is evicted if full. Returns the line's id.
+    /// LRU way is evicted if full. The replaced or evicted line's storage
+    /// is kept for [`TraceCache::new_line`]. Returns the line's id.
     pub fn install(&mut self, mut line: TraceLine) -> u64 {
         self.tick += 1;
+        let tick = self.tick;
         let set_idx = self.set_of(line.start_pc);
-        let new_path: Vec<(u64, bool)> = line.branch_path().collect();
         let set = &mut self.sets[set_idx];
+        self.stats.installs += 1;
 
         // Replace a same-pc same-path line in place, keeping its id.
-        if let Some(i) = set.iter().position(|w| {
-            w.line.start_pc == line.start_pc && w.line.branch_path().collect::<Vec<_>>() == new_path
+        if let Some(way) = set.iter_mut().find(|w| {
+            w.line.start_pc == line.start_pc && w.line.branch_path().eq(line.branch_path())
         }) {
-            let id = set[i].line.id;
+            let id = way.line.id;
             line.id = id;
-            set[i] = WaySlot {
-                line,
-                lru: self.tick,
-            };
-            self.stats.installs += 1;
+            way.lru = tick;
+            let old = std::mem::replace(&mut way.line, line);
+            self.keep_spare(old);
             return id;
         }
 
@@ -161,24 +189,31 @@ impl TraceCache {
         self.next_id += 1;
         line.id = id;
 
-        if set.len() >= self.config.assoc {
+        let evicted = if set.len() >= self.config.assoc {
             let victim = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, w)| w.lru)
                 .map(|(i, _)| i)
                 .expect("set non-empty");
-            let evicted = set.remove(victim);
-            self.resident.remove(&evicted.line.id);
+            Some(set.remove(victim).line)
+        } else {
+            None
+        };
+        set.push(WaySlot { line, lru: tick });
+        if let Some(old) = evicted {
+            self.resident.remove(&old.id);
             self.stats.evictions += 1;
+            self.keep_spare(old);
         }
-        set.push(WaySlot {
-            line,
-            lru: self.tick,
-        });
         self.resident.insert(id, set_idx);
-        self.stats.installs += 1;
         id
+    }
+
+    fn keep_spare(&mut self, line: TraceLine) {
+        if self.spare.len() < SPARE_LINES {
+            self.spare.push(line);
+        }
     }
 
     /// Mutable access to the profile fields of a resident line's slot, for
@@ -295,6 +330,35 @@ mod tests {
         // A different path gets a fresh id.
         let id3 = tc.install(mk_line(0x1000, &[false]));
         assert_ne!(id3, id1);
+    }
+
+    #[test]
+    fn displaced_lines_are_rebuilt_in_place() {
+        let mut tc = TraceCache::default();
+        let first = mk_line(0x1000, &[true]);
+        let storage = first.slots.as_ptr();
+        tc.install(first);
+        // The rebuild displaces the first line; its storage becomes spare.
+        tc.install(mk_line(0x1000, &[true]));
+        let raw = RawTrace::analyze(vec![PendingInst {
+            seq: 0,
+            index: 9,
+            pc: 0x2000,
+            inst: Instruction::new(Opcode::Add, Some(Reg::R1), Some(Reg::R2), None, 0),
+            profile: ProfileFields::default(),
+            tc_loc: None,
+            feedback: ExecFeedback::default(),
+            taken: None,
+        }]);
+        let line = tc.new_line(&raw, &[5]);
+        assert_eq!(line.slots.as_ptr(), storage);
+        assert_eq!((line.id, line.start_pc, line.len()), (0, 0x2000, 1));
+        assert_eq!(line.slots.len(), 16);
+        assert_eq!(line.slots.iter().flatten().count(), 1);
+        assert_eq!(line.slots[5].map(|s| s.index), Some(9));
+        // With nothing spare, a fresh line is built.
+        let fresh = tc.new_line(&raw, &[0]);
+        assert_eq!(fresh.logical_to_phys, vec![0]);
     }
 
     #[test]

@@ -67,16 +67,67 @@ pub struct FillUnitStats {
     pub insts_buffered: u64,
 }
 
+/// Spent traces the fill unit keeps for reuse: [`FillUnit::push`]
+/// emits at most two at a time, and the caller hands each back before
+/// the next push.
+const SPARE_TRACES: usize = 2;
+
+/// The traces one [`FillUnit::push`] finalised — none, one, or two (a
+/// line-boundary flush plus a completion) — held inline. Iterate it to
+/// take them, oldest first.
+#[derive(Debug, Default)]
+pub struct FinishedTraces {
+    first: Option<RawTrace>,
+    second: Option<RawTrace>,
+}
+
+impl FinishedTraces {
+    fn add(&mut self, trace: Option<RawTrace>) {
+        if self.first.is_none() {
+            self.first = trace;
+        } else {
+            self.second = trace;
+        }
+    }
+
+    /// True if no trace is left to take.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none() && self.second.is_none()
+    }
+}
+
+impl Iterator for FinishedTraces {
+    type Item = RawTrace;
+
+    fn next(&mut self) -> Option<RawTrace> {
+        self.first.take().or_else(|| self.second.take())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::from(self.first.is_some()) + usize::from(self.second.is_some());
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for FinishedTraces {}
+
 /// The fill unit buffers retiring instructions and emits finalised
 /// [`RawTrace`]s. A trace ends when it holds `max_insts` instructions,
 /// `max_blocks` control transfers, an indirect control transfer (whose
 /// target varies), or when the retire stream crosses into a rebuilt
 /// trace-cache line. Between traces the unit idles until the next trace
 /// head retires.
+///
+/// Buffers are recycled, not reallocated: the collecting buffer trades
+/// places with the instruction vector of a spare trace at every
+/// finalisation, and callers return spent traces through
+/// [`FillUnit::recycle`], so a steady-state fill unit allocates nothing.
 #[derive(Debug)]
 pub struct FillUnit {
     config: FillUnitConfig,
     pending: Vec<PendingInst>,
+    /// Spent traces whose storage the next finalisations reuse.
+    spare: Vec<RawTrace>,
     branches: usize,
     filling: bool,
     traces_built: u64,
@@ -94,6 +145,7 @@ impl FillUnit {
         FillUnit {
             config,
             pending: Vec::new(),
+            spare: Vec::new(),
             branches: 0,
             filling: false,
             traces_built: 0,
@@ -135,17 +187,17 @@ impl FillUnit {
     }
 
     /// Accepts one retired instruction with its trace-head marker;
-    /// returns zero, one, or two finalised traces (a line-boundary flush
-    /// plus a completion).
-    pub fn push(&mut self, inst: PendingInst, head: TraceHead) -> Vec<RawTrace> {
-        let mut out = Vec::new();
+    /// returns the zero, one, or two traces it finalised (a line-boundary
+    /// flush plus a completion) as an inline iterator. Hand each trace
+    /// back through [`FillUnit::recycle`] once done with it.
+    #[inline]
+    pub fn push(&mut self, inst: PendingInst, head: TraceHead) -> FinishedTraces {
+        let mut out = FinishedTraces::default();
         match head {
             TraceHead::TraceCacheLine => {
                 // Re-align: finish whatever was collecting, rebuild the
                 // line from its head.
-                if let Some(t) = self.finalize() {
-                    out.push(t);
-                }
+                out.add(self.finalize());
                 self.filling = true;
             }
             TraceHead::TraceCacheMiss => {
@@ -178,12 +230,18 @@ impl FillUnit {
             || is_indirect
             || is_backward_taken
         {
-            if let Some(t) = self.finalize() {
-                out.push(t);
-            }
+            out.add(self.finalize());
             self.filling = false;
         }
         out
+    }
+
+    /// Takes back a trace emitted by [`FillUnit::push`] or
+    /// [`FillUnit::flush`] so a later trace reuses its storage.
+    pub fn recycle(&mut self, trace: RawTrace) {
+        if self.spare.len() < SPARE_TRACES {
+            self.spare.push(trace);
+        }
     }
 
     /// Forces the partial trace out (end of simulation).
@@ -199,7 +257,18 @@ impl FillUnit {
             return None;
         }
         self.traces_built += 1;
-        Some(RawTrace::analyze(std::mem::take(&mut self.pending)))
+        let mut trace = self.spare.pop().unwrap_or_else(|| RawTrace {
+            insts: Vec::new(),
+            intra_producers: Vec::new(),
+            has_intra_consumer: Vec::new(),
+            branch_count: 0,
+        });
+        // The collected instructions move into the trace; the trace's
+        // old buffer, cleared, collects the next one.
+        std::mem::swap(&mut trace.insts, &mut self.pending);
+        self.pending.clear();
+        trace.reanalyze();
+        Some(trace)
     }
 }
 
@@ -257,7 +326,9 @@ mod tests {
                 .push(pi(i, Opcode::Add, None), TraceHead::None)
                 .is_empty());
         }
-        let out = fu.push(pi(15, Opcode::Add, None), TraceHead::None);
+        let out: Vec<_> = fu
+            .push(pi(15, Opcode::Add, None), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 16);
         assert!(!fu.is_filling());
@@ -283,7 +354,9 @@ mod tests {
         fu.push(pi(1, Opcode::Add, None), TraceHead::None);
         // Crossing into a trace-cache group finalises the partial trace
         // and starts collecting the rebuilt line.
-        let out = fu.push(pi(2, Opcode::Add, None), TraceHead::TraceCacheLine);
+        let out: Vec<_> = fu
+            .push(pi(2, Opcode::Add, None), TraceHead::TraceCacheLine)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
         assert!(fu.is_filling());
@@ -296,7 +369,9 @@ mod tests {
         fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
         fu.push(pi(1, Opcode::Bne, Some(true)), TraceHead::None);
         fu.push(pi(2, Opcode::Bne, Some(false)), TraceHead::None);
-        let out = fu.push(pi(3, Opcode::Bne, Some(true)), TraceHead::None);
+        let out: Vec<_> = fu
+            .push(pi(3, Opcode::Bne, Some(true)), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].branch_count, 3);
         assert!(!fu.is_filling());
@@ -306,7 +381,9 @@ mod tests {
     fn indirect_ends_a_trace() {
         let mut fu = FillUnit::default();
         fu.push(pi(0, Opcode::Add, None), TraceHead::TraceCacheMiss);
-        let out = fu.push(pi(1, Opcode::Jr, Some(true)), TraceHead::None);
+        let out: Vec<_> = fu
+            .push(pi(1, Opcode::Jr, Some(true)), TraceHead::None)
+            .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
     }
@@ -328,7 +405,7 @@ mod tests {
         // its own pc: a loop-back edge.
         let mut back = pi(6, Opcode::Bne, Some(true));
         back.inst.imm = 0;
-        let out = fu.push(back, TraceHead::None);
+        let out: Vec<_> = fu.push(back, TraceHead::None).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 2);
         assert!(!fu.is_filling());
@@ -338,6 +415,38 @@ mod tests {
         let mut nt = pi(6, Opcode::Bne, Some(false));
         nt.inst.imm = 0;
         assert!(fu.push(nt, TraceHead::None).is_empty());
+    }
+
+    #[test]
+    fn recycled_traces_are_reanalysed_from_scratch() {
+        let dep = |seq, d, a| {
+            let mut p = pi(seq, Opcode::Add, None);
+            p.inst = Instruction::new(Opcode::Add, Some(d), Some(a), Some(Reg::R9), 0);
+            p
+        };
+        let mut fu = FillUnit::default();
+        // r1 -> r2 -> r3 chain, ended by an indirect jump.
+        fu.push(dep(0, Reg::R1, Reg::R8), TraceHead::TraceCacheMiss);
+        fu.push(dep(1, Reg::R2, Reg::R1), TraceHead::None);
+        fu.push(dep(2, Reg::R3, Reg::R2), TraceHead::None);
+        let first: Vec<_> = fu
+            .push(pi(3, Opcode::Jr, Some(true)), TraceHead::None)
+            .collect();
+        assert_eq!(first[0].has_intra_consumer, vec![true, true, false, false]);
+        let reused = first[0].intra_producers.as_ptr();
+        for t in first {
+            fu.recycle(t);
+        }
+        // An independent pair reuses that storage with a fresh analysis.
+        fu.push(dep(4, Reg::R4, Reg::R10), TraceHead::TraceCacheMiss);
+        fu.push(dep(5, Reg::R5, Reg::R11), TraceHead::None);
+        let second = fu.flush().unwrap();
+        assert_eq!(second.len(), 2);
+        assert_eq!(second.has_intra_consumer, vec![false, false]);
+        assert_eq!(second.intra_producers, vec![[None, None]; 2]);
+        assert_eq!(second.branch_count, 0);
+        // The second trace is the first one's storage, reused.
+        assert_eq!(second.intra_producers.as_ptr(), reused);
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct PendingInst {
     pub taken: Option<bool>,
 }
 
+/// The most instructions one trace holds: logical positions and
+/// physical slots are `u8`s.
+pub const MAX_TRACE_LEN: usize = 255;
+
 /// A finalised but not-yet-assigned trace: instructions in logical order
 /// plus the fill unit's intra-trace dependency analysis. A retire-time
 /// cluster assignment strategy turns this into a [`TraceLine`].
@@ -51,25 +55,44 @@ impl RawTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `insts` is empty or longer than 255 instructions.
+    /// Panics if `insts` is empty or longer than [`MAX_TRACE_LEN`].
     pub fn analyze(insts: Vec<PendingInst>) -> Self {
-        assert!(!insts.is_empty() && insts.len() <= 255);
-        let n = insts.len();
+        let mut trace = RawTrace {
+            insts,
+            intra_producers: Vec::new(),
+            has_intra_consumer: Vec::new(),
+            branch_count: 0,
+        };
+        trace.reanalyze();
+        trace
+    }
+
+    /// Reruns the dependency analysis over `insts`, reusing the analysis
+    /// vectors' storage (the fill unit recycles spent traces this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `insts` is empty or longer than [`MAX_TRACE_LEN`].
+    pub(crate) fn reanalyze(&mut self) {
+        let n = self.insts.len();
+        assert!(n > 0 && n <= MAX_TRACE_LEN);
         let mut last_writer: [Option<u8>; ctcp_isa::Reg::NUM] = [None; ctcp_isa::Reg::NUM];
-        let mut intra_producers = vec![[None; 2]; n];
-        let mut has_intra_consumer = vec![false; n];
+        self.intra_producers.clear();
+        self.intra_producers.resize(n, [None; 2]);
+        self.has_intra_consumer.clear();
+        self.has_intra_consumer.resize(n, false);
         let mut branch_count = 0u8;
-        for (i, p) in insts.iter().enumerate() {
+        for (i, p) in self.insts.iter().enumerate() {
             if let Some(r) = p.inst.dep_src1() {
                 if let Some(w) = last_writer[r.index()] {
-                    intra_producers[i][0] = Some(w);
-                    has_intra_consumer[w as usize] = true;
+                    self.intra_producers[i][0] = Some(w);
+                    self.has_intra_consumer[w as usize] = true;
                 }
             }
             if let Some(r) = p.inst.dep_src2() {
                 if let Some(w) = last_writer[r.index()] {
-                    intra_producers[i][1] = Some(w);
-                    has_intra_consumer[w as usize] = true;
+                    self.intra_producers[i][1] = Some(w);
+                    self.has_intra_consumer[w as usize] = true;
                 }
             }
             if let Some(d) = p.inst.dest {
@@ -79,12 +102,7 @@ impl RawTrace {
                 branch_count += 1;
             }
         }
-        RawTrace {
-            insts,
-            intra_producers,
-            has_intra_consumer,
-            branch_count,
-        }
+        self.branch_count = branch_count;
     }
 
     /// Number of instructions.
@@ -160,14 +178,34 @@ impl TraceLine {
     /// Panics if the placement is not a valid injection into
     /// `0..capacity`.
     pub fn from_raw(raw: &RawTrace, placement: &[u8], capacity: usize) -> Self {
+        let mut line = TraceLine {
+            id: 0,
+            start_pc: 0,
+            slots: Vec::new(),
+            logical_to_phys: Vec::new(),
+        };
+        line.refill(raw, placement, capacity);
+        line
+    }
+
+    /// Rebuilds this line in place as [`TraceLine::from_raw`] would,
+    /// reusing its storage; the id resets to 0 until the next install.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceLine::from_raw`].
+    pub(crate) fn refill(&mut self, raw: &RawTrace, placement: &[u8], capacity: usize) {
         assert_eq!(placement.len(), raw.len());
-        let mut slots: Vec<Option<TraceSlot>> = vec![None; capacity];
+        self.id = 0; // assigned by the cache at install
+        self.start_pc = raw.start_pc();
+        self.slots.clear();
+        self.slots.resize(capacity, None);
         for (l, &p) in placement.iter().enumerate() {
             let p = p as usize;
             assert!(p < capacity, "placement out of range");
-            assert!(slots[p].is_none(), "placement not injective");
+            assert!(self.slots[p].is_none(), "placement not injective");
             let src = &raw.insts[l];
-            slots[p] = Some(TraceSlot {
+            self.slots[p] = Some(TraceSlot {
                 index: src.index,
                 pc: src.pc,
                 inst: src.inst,
@@ -175,12 +213,8 @@ impl TraceLine {
                 taken: src.taken,
             });
         }
-        TraceLine {
-            id: 0, // assigned by the cache at install
-            start_pc: raw.start_pc(),
-            slots,
-            logical_to_phys: placement.to_vec(),
-        }
+        self.logical_to_phys.clear();
+        self.logical_to_phys.extend_from_slice(placement);
     }
 
     /// Number of instructions in the line.

@@ -4,7 +4,9 @@
 #   scripts/verify.sh
 #
 # Runs, in order:
-#   1. tier-1: release build + full test suite
+#   1. tier-1: release build + full test suite, then the whole-
+#      simulation allocation audit in release mode (marginal heap
+#      allocations per simulated instruction must stay <= 0.02)
 #   2. formatting check (cargo fmt --check)
 #   3. lint gate (cargo clippy --workspace, warnings are errors)
 #   4. telemetry smoke: `ctcp trace --check` validates the Chrome trace
@@ -49,6 +51,9 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> allocation audit (release): steady-state Simulation loop"
+cargo test --release -p ctcp-sim --test no_alloc
 
 echo "==> cargo fmt --check"
 cargo fmt --check

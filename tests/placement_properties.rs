@@ -9,7 +9,7 @@
 use ctcp::core::assign::{
     baseline_placement, friendly_placement, FdrtAssigner, FdrtConfig, MapChainStore, SlotFillOrder,
 };
-use ctcp::core::ClusterGeometry;
+use ctcp::core::{ClusterGeometry, Topology};
 use ctcp::isa::{Instruction, Opcode, Reg};
 use ctcp::tracecache::{ChainRole, ExecFeedback, PendingInst, ProfileFields, RawTrace};
 use ctcp::workload::Pcg32;
@@ -146,6 +146,71 @@ fn fdrt_option_counts_are_conserved() {
             total,
             "case {case}"
         );
+    }
+}
+
+/// The 8-cluster machines: the widest geometry the engine takes, where
+/// a neighbour list is longest (7 clusters under full connection) and a
+/// ring wraps its ends together.
+fn eight_cluster_geometries() -> Vec<ClusterGeometry> {
+    let mut out = Vec::new();
+    for topology in [Topology::Ring, Topology::FullyConnected] {
+        for slots_per_cluster in [2, 4] {
+            out.push(ClusterGeometry {
+                clusters: 8,
+                slots_per_cluster,
+                topology,
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn friendly_placements_are_valid_on_eight_clusters() {
+    for geom in eight_cluster_geometries() {
+        for case in 0..CASES {
+            let mut r = Pcg32::seed_from_u64(0xF6 ^ case);
+            let trace = arb_trace(&mut r, geom.total_slots());
+            for order in [SlotFillOrder::Sequential, SlotFillOrder::MiddleFirst] {
+                let p = friendly_placement(&trace, &geom, order);
+                assert_valid_placement(&p, trace.len(), &geom);
+            }
+        }
+    }
+}
+
+#[test]
+fn fdrt_placements_are_valid_on_eight_clusters() {
+    for geom in eight_cluster_geometries() {
+        for case in 0..CASES {
+            let mut r = Pcg32::seed_from_u64(0xF7 ^ case);
+            let mut assigner = FdrtAssigner::new(FdrtConfig::default());
+            let mut store = MapChainStore::new();
+            let mut total = 0u64;
+            for _ in 0..r.range(1, 6) {
+                let mut t = arb_trace(&mut r, geom.total_slots());
+                // Chain members on any of the eight clusters drive
+                // options B and C, whose priority lists are the longest.
+                for inst in &mut t.insts {
+                    if r.chance(0.4) {
+                        inst.profile = ProfileFields {
+                            role: ChainRole::Follower,
+                            chain_cluster: Some(r.index(8) as u8),
+                        };
+                    }
+                }
+                total += t.len() as u64;
+                let p = assigner.assign(&mut t, &geom, &mut store);
+                assert_valid_placement(&p, t.len(), &geom);
+            }
+            let s = assigner.stats();
+            assert_eq!(
+                s.options.iter().sum::<u64>() + s.skipped,
+                total,
+                "{geom:?} case {case}"
+            );
+        }
     }
 }
 
