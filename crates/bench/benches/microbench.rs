@@ -48,32 +48,26 @@ fn fetched(seq: u64, group: u64, slot: usize, inst: Instruction) -> FetchedInst 
     }
 }
 
-/// Times `cycles` engine ticks under a synthetic fetch stream, once per
-/// scheduler, so the legacy scan and the event-driven paths can be
-/// compared on the same wakeup/completion pattern.
+/// Times `cycles` engine ticks under a synthetic fetch stream.
 fn sched_bench(name: &str, cycles: u64, make: impl Fn(usize) -> Instruction + Copy) {
-    for legacy in [true, false] {
-        let tag = if legacy { "legacy" } else { "event" };
-        bench(&format!("{name}[{tag}]"), 5, || {
-            let mut engine = Engine::new(EngineConfig::default(), SteeringMode::Slot);
-            engine.set_legacy_scheduler(legacy);
-            let mut out = TickResult::default();
-            let (mut seq, mut group) = (0u64, 0u64);
-            let mut retired = 0u64;
-            for now in 0..cycles {
-                if engine.can_accept(16) {
-                    let g: [FetchedInst; 16] =
-                        std::array::from_fn(|i| fetched(seq + i as u64, group, i, make(i)));
-                    engine.accept(&g, now);
-                    seq += 16;
-                    group += 1;
-                }
-                engine.tick_into(now, &mut out);
-                retired += out.retired.len() as u64;
+    bench(name, 5, || {
+        let mut engine = Engine::new(EngineConfig::default(), SteeringMode::Slot);
+        let mut out = TickResult::default();
+        let (mut seq, mut group) = (0u64, 0u64);
+        let mut retired = 0u64;
+        for now in 0..cycles {
+            if engine.can_accept(16) {
+                let g: [FetchedInst; 16] =
+                    std::array::from_fn(|i| fetched(seq + i as u64, group, i, make(i)));
+                engine.accept(&g, now);
+                seq += 16;
+                group += 1;
             }
-            retired
-        });
-    }
+            engine.tick_into(now, &mut out);
+            retired += out.retired.len() as u64;
+        }
+        retired
+    });
 }
 
 fn main() {
@@ -121,13 +115,11 @@ fn main() {
         hits
     });
 
-    // Scheduler microbenches: the same synthetic fetch stream driven
-    // through the legacy scan-per-cycle scheduler and the event-driven
-    // one. Each case isolates one of the costs the rewrite attacks.
+    // Scheduler microbenches: synthetic fetch streams, each isolating
+    // one cost of the event-driven scheduler.
 
-    // ROB pressure: long-latency producers keep the window full, so the
-    // legacy per-cycle completion/select scans walk ~128 entries while
-    // the indexed path touches only the instructions that change state.
+    // ROB pressure: long-latency producers keep the window full; the
+    // indexed path touches only the instructions that change state.
     sched_bench("sched_rob_pressure_20k", 20_000, |i| {
         if i == 0 {
             Instruction::new(Opcode::Div, Some(Reg::int(0)), Some(Reg::int(1)), None, 0)
@@ -143,8 +135,7 @@ fn main() {
     });
 
     // Wakeup fan-out: fifteen consumers per group all wait on one div,
-    // stressing the completion broadcast (legacy: finishers x ROB x
-    // sources; event: one wakeup-list drain).
+    // stressing the wakeup-list drain.
     sched_bench("sched_wakeup_fanout_20k", 20_000, |i| {
         if i == 0 {
             Instruction::new(Opcode::Div, Some(Reg::int(7)), Some(Reg::int(1)), None, 0)
@@ -160,8 +151,7 @@ fn main() {
     });
 
     // Completion pop: independent ops with mixed latencies spread
-    // completions across cycles, stressing find-the-finishers (legacy:
-    // full ROB scan per cycle; event: pop the wheel's current slot).
+    // completions across cycles, stressing the completion wheel.
     sched_bench("sched_completion_pop_20k", 20_000, |i| {
         let op = match i % 3 {
             0 => Opcode::Add,
@@ -172,26 +162,18 @@ fn main() {
     });
 
     for strategy in [Strategy::Baseline, Strategy::Fdrt { pinning: true }] {
-        for legacy in [true, false] {
-            let tag = if legacy { "legacy" } else { "event" };
-            bench(
-                &format!("simulate_20k[{}/{tag}]", strategy.name()),
-                3,
-                || {
-                    let cfg = SimConfig {
-                        strategy,
-                        max_insts: 20_000,
-                        ..SimConfig::default()
-                    };
-                    Simulation::builder(&program)
-                        .config(cfg)
-                        .legacy_scheduler(legacy)
-                        .build()
-                        .unwrap()
-                        .run()
-                        .cycles
-                },
-            );
-        }
+        bench(&format!("simulate_20k[{}]", strategy.name()), 3, || {
+            let cfg = SimConfig {
+                strategy,
+                max_insts: 20_000,
+                ..SimConfig::default()
+            };
+            Simulation::builder(&program)
+                .config(cfg)
+                .build()
+                .unwrap()
+                .run()
+                .cycles
+        });
     }
 }

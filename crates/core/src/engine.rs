@@ -3,10 +3,8 @@
 //! Scheduling is event-driven: completions live in a calendar queue
 //! (popped exactly when due), wakeups traverse per-producer consumer
 //! lists built at rename, and selectable instructions sit in per-RS
-//! ready queues keyed by their operand-arrival cycle. The original
-//! scan-per-cycle scheduler is retained as a runtime-selectable
-//! determinism oracle (see [`Engine::set_legacy_scheduler`]); both
-//! paths produce cycle-for-cycle identical results.
+//! ready queues keyed by their operand-arrival cycle. The root
+//! `golden_digests` test pins the engine's observable output.
 
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
@@ -22,7 +20,6 @@ use ctcp_telemetry::{
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// One instruction delivered by the front-end, already renamed into a
 /// fetch-group slot. `slot` determines the cluster under slot-based
@@ -166,15 +163,13 @@ struct Completed {
 
 struct ClusterState {
     dispatch_q: VecDeque<u64>,
-    /// Legacy scheduler only: flat per-RS candidate lists.
-    rs: [Vec<u64>; 5],
-    /// Event scheduler only: per-RS ready/pending queues.
+    /// Per-RS ready/pending queues.
     queues: [ReadyQueue; 5],
-    /// Station residency, maintained identically by both schedulers
-    /// (incremented at dispatch, decremented at issue): the single
-    /// source every occupancy read — dispatch back-pressure, routing,
-    /// diagnostics, and the `rs_occupancy` histogram — samples, so the
-    /// telemetry cannot diverge between scheduler implementations.
+    /// Station residency (incremented at dispatch, decremented at
+    /// issue): the single source every occupancy read — dispatch
+    /// back-pressure, routing, diagnostics, and the `rs_occupancy`
+    /// histogram — samples. The ready queues hold only entries whose
+    /// operands are resolved, so they cannot count residents.
     station_occ: [usize; 5],
     fus: FuPool,
 }
@@ -184,7 +179,6 @@ impl ClusterState {
     /// arena's pools run dry harmlessly — missing pieces are allocated
     /// fresh.
     fn from_arena(arena: &mut EngineArena) -> Self {
-        let take_seq = |arena: &mut EngineArena| arena.seq_lists.pop().unwrap_or_default();
         let take_queue = |arena: &mut EngineArena| {
             ReadyQueue::from_parts(
                 arena.seq_lists.pop().unwrap_or_default(),
@@ -193,13 +187,8 @@ impl ClusterState {
         };
         let mut dispatch_q = arena.dispatch_qs.pop().unwrap_or_default();
         dispatch_q.clear();
-        let mut rs: [Vec<u64>; 5] = std::array::from_fn(|_| take_seq(arena));
-        for list in &mut rs {
-            list.clear();
-        }
         ClusterState {
             dispatch_q,
-            rs,
             queues: std::array::from_fn(|_| take_queue(arena)),
             station_occ: [0; 5],
             fus: FuPool::new(),
@@ -209,34 +198,12 @@ impl ClusterState {
     /// Returns the cluster's queue storage to the arena's pools.
     fn into_arena(self, arena: &mut EngineArena) {
         arena.dispatch_qs.push(self.dispatch_q);
-        for list in self.rs {
-            arena.seq_lists.push(list);
-        }
         for q in self.queues {
             let (ready, pending) = q.into_parts();
             arena.seq_lists.push(ready);
             arena.pending_lists.push(pending);
         }
     }
-}
-
-/// Engine knobs taken from the environment. They are read once per
-/// process: construction sits on the per-cell path, and neither knob
-/// can change mid-process.
-#[derive(Debug, Clone, Copy)]
-struct EnvKnobs {
-    /// `CTCP_TRACE` is set: print per-instruction debug lines.
-    debug_trace: bool,
-    /// `CTCP_SCHED` is not `legacy`: use the event-driven scheduler.
-    event_driven: bool,
-}
-
-fn env_knobs() -> EnvKnobs {
-    static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
-    *KNOBS.get_or_init(|| EnvKnobs {
-        debug_trace: std::env::var("CTCP_TRACE").is_ok(),
-        event_driven: std::env::var("CTCP_SCHED").map_or(true, |v| v != "legacy"),
-    })
 }
 
 /// The clustered out-of-order engine: rename → steer → dispatch →
@@ -257,12 +224,6 @@ pub struct Engine {
     /// Cached `probe.enabled()`: the telemetry-off fast path is one
     /// branch per hook site, never a virtual call.
     probe_on: bool,
-    /// `CTCP_TRACE` knob (see [`env_knobs`]), cached per engine so the
-    /// per-instruction check is one field load.
-    debug_trace: bool,
-    /// Event-driven scheduling (the default). `false` selects the
-    /// legacy scan-per-cycle path, kept as a determinism oracle.
-    event_driven: bool,
     /// Calendar queue of `(complete_cycle, seq)` execution completions.
     wheel: CompletionWheel,
     /// Scratch for the wheel's per-cycle drain (reused every tick).
@@ -278,10 +239,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine. The scheduler defaults to event-driven;
-    /// set `CTCP_SCHED=legacy` in the process environment (read once, at
-    /// the first construction) or call [`Engine::set_legacy_scheduler`]
-    /// to select the scan oracle.
+    /// Creates an empty engine.
     pub fn new(cfg: EngineConfig, mode: SteeringMode) -> Self {
         Engine::with_arena(cfg, mode, EngineArena::default())
     }
@@ -322,8 +280,6 @@ impl Engine {
             history: ProducerHistory::default(),
             probe: Rc::new(NullProbe),
             probe_on: false,
-            debug_trace: env_knobs().debug_trace,
-            event_driven: env_knobs().event_driven,
             wheel: CompletionWheel::from_slots(wheel_slots),
             scratch_events: events,
             consumers,
@@ -349,23 +305,6 @@ impl Engine {
             c.into_arena(&mut arena);
         }
         arena
-    }
-
-    /// Selects the legacy scan-per-cycle scheduler (`legacy = true`) or
-    /// the event-driven one. The scan path is the determinism oracle:
-    /// differential tests run both and require byte-identical reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if instructions have already been accepted — the two
-    /// schedulers keep different bookkeeping and cannot be swapped
-    /// mid-flight.
-    pub fn set_legacy_scheduler(&mut self, legacy: bool) {
-        assert!(
-            self.rob.is_empty() && self.stats.retired == 0,
-            "scheduler must be selected before the first fetch group"
-        );
-        self.event_driven = !legacy;
     }
 
     /// Attaches a telemetry probe. The engine caches
@@ -472,19 +411,17 @@ impl Engine {
             let expected = self.rob.next_seq();
             assert_eq!(f.seq, expected, "sequence numbers must be dense");
             let srcs = self.resolve_sources(&f.inst, f.group, now);
-            if self.event_driven {
-                // Register this consumer on each still-executing
-                // producer's wakeup list; completion resolves exactly
-                // these sources instead of broadcasting over the ROB.
-                for (i, s) in srcs.iter().enumerate() {
-                    if let SrcState::Waiting { producer_seq } = *s {
-                        let p = self
-                            .rob
-                            .get_mut(producer_seq)
-                            .expect("RAT points at in-ROB producer");
-                        self.consumers
-                            .append(&mut p.cons_head, &mut p.cons_tail, f.seq, i as u8);
-                    }
+            // Register this consumer on each still-executing producer's
+            // wakeup list; completion resolves exactly these sources
+            // instead of broadcasting over the ROB.
+            for (i, s) in srcs.iter().enumerate() {
+                if let SrcState::Waiting { producer_seq } = *s {
+                    let p = self
+                        .rob
+                        .get_mut(producer_seq)
+                        .expect("RAT points at in-ROB producer");
+                    self.consumers
+                        .append(&mut p.cons_head, &mut p.cons_tail, f.seq, i as u8);
                 }
             }
             let cluster = match self.mode {
@@ -636,9 +573,8 @@ impl Engine {
         c
     }
 
-    /// Occupancy of one reservation station. Reads the shared residency
-    /// counter both schedulers maintain at the same points (dispatch,
-    /// issue), so every consumer samples scheduler-independent state.
+    /// Occupancy of one reservation station: the residency counter
+    /// maintained at dispatch and issue.
     #[inline]
     fn station_len(&self, ci: usize, rsi: usize) -> usize {
         self.clusters[ci].station_occ[rsi]
@@ -669,13 +605,8 @@ impl Engine {
         // Complete (and wake consumers) before select so that a result
         // produced at cycle `now` can be consumed intra-cluster at `now` —
         // the paper's "same cycle as instruction dispatch" forwarding.
-        if self.event_driven {
-            self.complete_event(now, &mut out.redirects);
-            self.select_event(now);
-        } else {
-            self.complete_scan(now, &mut out.redirects);
-            self.select_scan(now);
-        }
+        self.complete(now, &mut out.redirects);
+        self.select(now);
         self.retire_into(now, &mut out.retired);
         self.mem.drain_stores(2);
         if self.probe_on {
@@ -730,23 +661,19 @@ impl Engine {
                 e.stage = Stage::InRs;
                 e.dispatched_at = now;
                 self.clusters[ci].station_occ[rs.index()] += 1;
-                if self.event_driven {
-                    // If every operand is already resolved, the ready
-                    // cycle is final: file it now. Otherwise the last
-                    // producer's wakeup will file it.
-                    let ready_at = {
-                        let e = self.entry(seq).expect("in ROB");
-                        if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
-                            None
-                        } else {
-                            Some(self.readiness(e).expect("no waiting sources").0)
-                        }
-                    };
-                    if let Some(at) = ready_at {
-                        self.clusters[ci].queues[rs.index()].push_at(at, seq, now);
+                // If every operand is already resolved, the ready cycle
+                // is final: file it now. Otherwise the last producer's
+                // wakeup will file it.
+                let ready_at = {
+                    let e = self.entry(seq).expect("in ROB");
+                    if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
+                        None
+                    } else {
+                        Some(self.readiness(e).expect("no waiting sources").0)
                     }
-                } else {
-                    self.clusters[ci].rs[rs.index()].push(seq);
+                };
+                if let Some(at) = ready_at {
+                    self.clusters[ci].queues[rs.index()].push_at(at, seq, now);
                 }
                 dispatched += 1;
             }
@@ -805,7 +732,7 @@ impl Engine {
         Some((ready, critical))
     }
 
-    /// Issue checks shared by both schedulers. `seq` must sit in a
+    /// Issue checks for one selectable instruction. `seq` must sit in a
     /// reservation station of cluster `ci`. Returns `true` when
     /// execution began (the caller removes it from its station).
     fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> bool {
@@ -841,29 +768,10 @@ impl Engine {
         true
     }
 
-    /// Legacy select: poll `readiness()` on every station resident.
-    fn select_scan(&mut self, now: u64) {
-        let min_unresolved = self.unresolved_stores.iter().next().copied();
-        let mut issued = [0u32; 8];
-        for ci in 0..self.clusters.len() {
-            for rsi in 0..5 {
-                let candidates: Vec<u64> = self.clusters[ci].rs[rsi].clone();
-                for seq in candidates {
-                    if self.try_issue(seq, now, min_unresolved, ci) {
-                        issued[ci.min(7)] += 1;
-                        self.clusters[ci].rs[rsi].retain(|&s| s != seq);
-                        self.clusters[ci].station_occ[rsi] -= 1;
-                    }
-                }
-            }
-        }
-        self.observe_issue(&issued);
-    }
-
-    /// Event-driven select: only entries whose operands have arrived are
-    /// visited; non-issuers (FU or memory structural hazards) stay via
-    /// in-place compaction instead of O(n) `retain` removals.
-    fn select_event(&mut self, now: u64) {
+    /// Select: only entries whose operands have arrived are visited;
+    /// non-issuers (FU or memory structural hazards) stay via in-place
+    /// compaction instead of O(n) `retain` removals.
+    fn select(&mut self, now: u64) {
         let min_unresolved = self.unresolved_stores.iter().next().copied();
         let mut issued = [0u32; 8];
         for ci in 0..self.clusters.len() {
@@ -929,19 +837,10 @@ impl Engine {
         } else {
             now + exec_lat
         };
-        if self.debug_trace && now < 600 {
-            let e = self.entry(seq).expect("in ROB");
-            eprintln!(
-                "t={now} exec seq={seq} pc={:#x} {} cl={} complete={complete}",
-                e.pc, e.inst.op, e.cluster
-            );
-        }
-        if self.event_driven {
-            // Every completion cycle the memory system can produce is
-            // strictly in the future, so the wheel never misses one.
-            debug_assert!(complete > now);
-            self.wheel.schedule(complete, seq);
-        }
+        // Every completion cycle the memory system can produce is
+        // strictly in the future, so the wheel never misses one.
+        debug_assert!(complete > now);
+        self.wheel.schedule(complete, seq);
         let e = self.entry_mut(seq).expect("in ROB");
         e.stage = Stage::Executing { complete };
         e.exec_start = now;
@@ -1034,49 +933,10 @@ impl Engine {
         };
     }
 
-    /// Legacy complete: scan the ROB for finishers, then broadcast each
-    /// finisher against every entry's sources.
-    fn complete_scan(&mut self, now: u64, redirects: &mut Vec<u64>) {
-        let mut completed: Vec<(u64, u64, u8, u64)> = Vec::new(); // (seq, cycle, cluster, group)
-        for e in self.rob.iter_mut() {
-            if let Stage::Executing { complete } = e.stage {
-                if complete <= now {
-                    e.stage = Stage::Complete { at: complete };
-                    completed.push((e.seq, complete, e.cluster, e.group));
-                    if e.mispredicted {
-                        redirects.push(e.seq);
-                        self.stats.redirects += 1;
-                    }
-                }
-            }
-        }
-        // Wakeup broadcast: resolve waiting consumers.
-        let n = completed.len() as u64;
-        let mut woken = 0u64;
-        for (pseq, cycle, cluster, pgroup) in completed {
-            for e in self.rob.iter_mut() {
-                for s in e.srcs.iter_mut() {
-                    if let SrcState::Waiting { producer_seq } = *s {
-                        if producer_seq == pseq {
-                            *s = SrcState::Forwarded {
-                                producer_seq: pseq,
-                                complete: cycle,
-                                cluster,
-                                same_trace: e.group == pgroup,
-                            };
-                            woken += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.note_completions(n, woken);
-    }
-
-    /// Event-driven complete: pop exactly the instructions finishing in
+    /// Complete: pop exactly the instructions finishing in
     /// `(last_tick, now]` from the wheel and wake only their registered
     /// consumers.
-    fn complete_event(&mut self, now: u64, redirects: &mut Vec<u64>) {
+    fn complete(&mut self, now: u64, redirects: &mut Vec<u64>) {
         let mut events = std::mem::take(&mut self.scratch_events);
         let mut wakes = std::mem::take(&mut self.scratch_wakes);
         events.clear();
@@ -1110,9 +970,8 @@ impl Engine {
             }
             woken += wakes.len() as u64;
         }
-        // The wheel surfaces one cycle's completions in issue order; the
-        // legacy scan reported them in program order. Sort so the two
-        // paths stay observably identical.
+        // The wheel surfaces one cycle's completions in issue order;
+        // redirects leave in program order.
         redirects.sort_unstable();
         self.note_completions(events.len() as u64, woken);
         self.scratch_events = events;
@@ -1360,57 +1219,41 @@ mod tests {
         (retired, now)
     }
 
-    /// Runs the same fetch groups through a legacy-scan engine and an
-    /// event-driven engine in lockstep, asserting identical per-cycle
-    /// results and identical final statistics. Returns the retired
-    /// stream (from the event engine).
-    fn assert_schedulers_agree(
+    /// FNV-1a 64 over `text`, continuing from `h`.
+    fn fnv1a(h: u64, text: &str) -> u64 {
+        text.bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Runs the fetch groups through one engine (a group enters as soon
+    /// as it fits) until it drains. Returns the retired stream and a
+    /// digest of everything the engine let out: every cycle's
+    /// `TickResult` and the final engine and forwarding statistics.
+    fn run_digest(
         cfg: EngineConfig,
         mode: SteeringMode,
         groups: &[Vec<FetchedInst>],
-    ) -> Vec<RetiredInst> {
-        let mut legacy = Engine::new(cfg, mode);
-        legacy.set_legacy_scheduler(true);
-        let mut event = Engine::new(cfg, mode);
-        event.set_legacy_scheduler(false);
+    ) -> (Vec<RetiredInst>, u64) {
+        let mut engine = Engine::new(cfg, mode);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut gi = 0;
         let mut retired = Vec::new();
         for now in 0..50_000u64 {
-            assert_eq!(
-                legacy.in_flight(),
-                event.in_flight(),
-                "in-flight diverged at cycle {now}"
-            );
-            if gi < groups.len() && legacy.can_accept(groups[gi].len()) {
-                legacy.accept(&groups[gi], now);
-                event.accept(&groups[gi], now);
+            if gi < groups.len() && engine.can_accept(groups[gi].len()) {
+                engine.accept(&groups[gi], now);
                 gi += 1;
             }
-            let rl = legacy.tick(now);
-            let re = event.tick(now);
-            assert_eq!(
-                format!("{rl:?}"),
-                format!("{re:?}"),
-                "tick result diverged at cycle {now}"
-            );
-            retired.extend(re.retired);
-            if gi == groups.len() && event.in_flight() == 0 {
+            let r = engine.tick(now);
+            digest = fnv1a(digest, &format!("{r:?}"));
+            retired.extend(r.retired);
+            if gi == groups.len() && engine.in_flight() == 0 {
                 break;
             }
         }
-        assert_eq!(legacy.in_flight(), 0, "legacy engine did not drain");
-        assert_eq!(event.in_flight(), 0, "event engine did not drain");
-        assert_eq!(
-            format!("{:?}", legacy.stats()),
-            format!("{:?}", event.stats()),
-            "engine stats diverged"
-        );
-        assert_eq!(
-            format!("{:?}", legacy.forwarding_stats()),
-            format!("{:?}", event.forwarding_stats()),
-            "forwarding stats diverged"
-        );
-        retired
+        assert_eq!(engine.in_flight(), 0, "engine did not drain");
+        digest = fnv1a(digest, &format!("{:?}", engine.stats()));
+        digest = fnv1a(digest, &format!("{:?}", engine.forwarding_stats()));
+        (retired, digest)
     }
 
     #[test]
@@ -1570,9 +1413,7 @@ mod tests {
         // The store's address is produced late (div) on cluster 0;
         // younger loads sit on clusters 1..3 with their own (disjoint)
         // addresses. Without speculative disambiguation none of them may
-        // begin execution until the store's address resolves — and the
-        // ready-queue scheduler must reproduce the scan scheduler's
-        // behaviour cycle for cycle while they wait.
+        // begin execution until the store's address resolves.
         let div = Instruction::new(Opcode::Div, Some(Reg::R1), Some(Reg::R2), Some(Reg::R3), 0);
         let st = Instruction::new(Opcode::St, None, Some(Reg::R1), Some(Reg::R4), 0);
         let mut s = fetched(1, st, 1);
@@ -1590,7 +1431,8 @@ mod tests {
             l.mem_addr = Some(0x6000 + 0x100 * i);
             group.push(l);
         }
-        let retired = assert_schedulers_agree(cfg(), SteeringMode::Slot, &[group]);
+        let (retired, digest) = run_digest(cfg(), SteeringMode::Slot, &[group]);
+        assert_eq!(digest, 0x1b76_8c3f_1916_6979);
         assert_eq!(retired.len(), 5);
         // The div (latency 20) gates the store; every load must retire
         // after the store's address resolved, despite disjoint addresses
@@ -1608,7 +1450,7 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_agree_on_cross_cluster_chains() {
+    fn cross_cluster_chains_match_their_golden_digests() {
         // Mixed-latency dependency chains spanning clusters, several
         // groups deep, under slot steering.
         let mut groups = Vec::new();
@@ -1645,16 +1487,18 @@ mod tests {
             }
             groups.push(group);
         }
-        assert_schedulers_agree(cfg(), SteeringMode::Slot, &groups);
-        assert_schedulers_agree(cfg(), SteeringMode::IssueTime, &groups);
+        let (_, slot) = run_digest(cfg(), SteeringMode::Slot, &groups);
+        assert_eq!(slot, 0x4350_f74e_3af8_ad6a);
+        let (_, issue) = run_digest(cfg(), SteeringMode::IssueTime, &groups);
+        assert_eq!(issue, 0x4031_d04e_d0fd_5ba4);
     }
 
     #[test]
-    fn schedulers_agree_on_random_mix() {
+    fn random_mix_matches_its_golden_digests() {
         // Deterministic LCG-generated soup of ALU ops, loads, stores and
         // branches across many fetch groups, run under both steering
-        // modes. This is the broadest engine-level differential net; the
-        // sim-level test covers full benchmarks.
+        // modes. This is the broadest engine-level golden; the root
+        // `golden_digests` corpus covers full benchmarks.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rnd = move || {
             state = state
@@ -1719,8 +1563,10 @@ mod tests {
             }
             groups.push(group);
         }
-        assert_schedulers_agree(cfg(), SteeringMode::Slot, &groups);
-        assert_schedulers_agree(cfg(), SteeringMode::IssueTime, &groups);
+        let (_, slot) = run_digest(cfg(), SteeringMode::Slot, &groups);
+        assert_eq!(slot, 0xb5b8_16c6_145c_470a);
+        let (_, issue) = run_digest(cfg(), SteeringMode::IssueTime, &groups);
+        assert_eq!(issue, 0x864d_a729_359d_5022);
     }
 
     #[test]
@@ -1795,25 +1641,37 @@ mod tests {
     }
 
     #[test]
-    fn latency_overrides_agree_across_schedulers() {
+    fn latency_overrides_match_their_golden_digests() {
         use crate::LatencyOverrides;
-        for ov in [
-            LatencyOverrides {
-                no_forward_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_intra_trace_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_inter_trace_latency: true,
-                ..Default::default()
-            },
-            LatencyOverrides {
-                no_critical_forward_latency: true,
-                ..Default::default()
-            },
+        for (ov, golden) in [
+            (
+                LatencyOverrides {
+                    no_forward_latency: true,
+                    ..Default::default()
+                },
+                0x4edc_b507_cc38_2ebb,
+            ),
+            (
+                LatencyOverrides {
+                    no_intra_trace_latency: true,
+                    ..Default::default()
+                },
+                0x3942_a940_2c9d_d764,
+            ),
+            (
+                LatencyOverrides {
+                    no_inter_trace_latency: true,
+                    ..Default::default()
+                },
+                0xb159_0b89_3ac8_7dc5,
+            ),
+            (
+                LatencyOverrides {
+                    no_critical_forward_latency: true,
+                    ..Default::default()
+                },
+                0x0c9f_4cd8_592b_1642,
+            ),
         ] {
             let mut c = cfg();
             c.overrides = ov;
@@ -1837,7 +1695,8 @@ mod tests {
                     .collect();
                 groups.push(group);
             }
-            assert_schedulers_agree(c, SteeringMode::Slot, &groups);
+            let (_, digest) = run_digest(c, SteeringMode::Slot, &groups);
+            assert_eq!(digest, golden, "{ov:?}");
         }
     }
 }

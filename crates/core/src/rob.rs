@@ -43,12 +43,6 @@ impl Rob {
         self.entries.len()
     }
 
-    /// True when nothing is in flight.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The sequence number the next pushed entry must carry.
     #[inline]
     pub(crate) fn next_seq(&self) -> u64 {
@@ -86,12 +80,6 @@ impl Rob {
     pub(crate) fn push_back(&mut self, e: Entry) {
         debug_assert_eq!(e.seq, self.next_seq(), "sequence numbers must be dense");
         self.entries.push_back(e);
-    }
-
-    /// Iterates every in-flight entry in program order (the legacy
-    /// scan-scheduler oracle is the only per-cycle user).
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry> {
-        self.entries.iter_mut()
     }
 }
 

@@ -124,9 +124,9 @@ impl CompletionWheel {
 
 /// Instructions in one reservation station, partitioned by whether
 /// their operands have arrived. `ready` is kept in ascending sequence
-/// order so selection visits candidates in the same (program) order the
-/// legacy scan did; `pending` is ordered by `(ready_at, seq)` so
-/// promotion is a prefix drain.
+/// order so selection visits candidates oldest first (program order);
+/// `pending` is ordered by `(ready_at, seq)` so promotion is a prefix
+/// drain.
 #[derive(Debug, Default)]
 pub(crate) struct ReadyQueue {
     /// Selectable now (operands arrived), ascending seq.
@@ -150,8 +150,8 @@ impl ReadyQueue {
 
     /// Files `seq`, whose operands arrive at `ready_at`, under the
     /// current cycle `now`. Station residency is tracked separately by
-    /// the engine's shared per-station counters, which both schedulers
-    /// maintain — this queue only orders selectable work.
+    /// the engine's per-station counters — this queue only orders
+    /// selectable work.
     pub(crate) fn push_at(&mut self, ready_at: u64, seq: u64, now: u64) {
         if ready_at <= now {
             let i = self.ready.partition_point(|&s| s < seq);

@@ -99,7 +99,6 @@ pub struct SimBuilder<'p> {
     pub(crate) program: &'p Program,
     pub(crate) cfg: SimConfig,
     pub(crate) probe: Option<Rc<dyn Probe>>,
-    pub(crate) legacy_scheduler: Option<bool>,
     pub(crate) watchdog_stall: Option<u64>,
     pub(crate) cycle_budget: Option<u64>,
     pub(crate) arena: Option<EngineArena>,
@@ -113,7 +112,6 @@ impl<'p> SimBuilder<'p> {
             program,
             cfg: SimConfig::default(),
             probe: None,
-            legacy_scheduler: None,
             watchdog_stall: None,
             cycle_budget: None,
             arena: None,
@@ -211,27 +209,15 @@ impl<'p> SimBuilder<'p> {
         self
     }
 
-    /// Selects the engine's legacy scan-per-cycle scheduler instead of
-    /// the event-driven one. The scan path is kept as a determinism
-    /// oracle: differential tests run both schedulers and require
-    /// byte-identical reports, so this knob exists for validation and
-    /// debugging, not performance. Deliberately *not* part of
-    /// [`SimConfig`] — it cannot change simulation results, so it must
-    /// not perturb result-store cache keys (which hash the config).
-    pub fn legacy_scheduler(mut self, legacy: bool) -> Self {
-        self.legacy_scheduler = Some(legacy);
-        self
-    }
-
     /// Overrides the retire-progress watchdog threshold: a run that
     /// goes `cycles` consecutive cycles without retiring anything
     /// (while work is still pending) aborts with
     /// [`SimError`](crate::SimError)`::Livelock` from
     /// [`Simulation::try_run`]. `0` disables the watchdog. Defaults to
     /// [`DEFAULT_WATCHDOG_STALL_LIMIT`](crate::DEFAULT_WATCHDOG_STALL_LIMIT).
-    /// Like [`legacy_scheduler`](Self::legacy_scheduler), deliberately
-    /// *not* part of [`SimConfig`]: it cannot change a healthy run's
-    /// results, so it must not perturb result-store cache keys.
+    /// Deliberately *not* part of [`SimConfig`]: it cannot change a
+    /// healthy run's results, so it must not perturb result-store cache
+    /// keys (which hash the config).
     pub fn watchdog_stall_limit(mut self, cycles: u64) -> Self {
         self.watchdog_stall = Some(cycles);
         self

@@ -99,9 +99,6 @@ impl<'p> Simulation<'p> {
             cfg.strategy.steering_mode(),
             b.arena.unwrap_or_default(),
         );
-        if let Some(legacy) = b.legacy_scheduler {
-            engine.set_legacy_scheduler(legacy);
-        }
         let probe = b
             .probe
             .unwrap_or_else(|| Rc::new(ctcp_telemetry::NullProbe));
