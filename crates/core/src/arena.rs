@@ -108,17 +108,19 @@ impl ConsumerArena {
 }
 
 /// Every recyclable allocation one [`Engine`](crate::Engine) owns: the
-/// ROB ring, the consumer slab, the completion wheel's slot vectors,
-/// scratch buffers, and pools of per-cluster queue storage. Obtain a
-/// fresh one with `EngineArena::default()`, pass it to
+/// ROB ring, the in-flight store ring, the consumer slab, the completion
+/// wheel's slot vectors, scratch buffers, and pools of per-cluster queue
+/// storage. Obtain a fresh one with `EngineArena::default()`, pass it to
 /// [`Engine::with_arena`](crate::Engine::with_arena), and harvest it
 /// back with [`Engine::into_arena`](crate::Engine::into_arena) to reuse
 /// across consecutive simulations. Contents are cleared (capacity kept)
-/// when the next engine is built from it, so reuse cannot leak state
-/// between runs.
+/// when the next engine is built from it, except the ROB ring's slots,
+/// which the ROB never reads outside its live window; either way reuse
+/// cannot leak state between runs.
 #[derive(Debug, Default)]
 pub struct EngineArena {
-    pub(crate) entries: VecDeque<Entry>,
+    pub(crate) entries: Vec<Entry>,
+    pub(crate) stores: VecDeque<(u64, bool)>,
     pub(crate) consumers: ConsumerArena,
     pub(crate) wheel_slots: Vec<Vec<(u64, u64)>>,
     pub(crate) events: Vec<(u64, u64)>,

@@ -4,8 +4,8 @@
 //! needs to say *where* the pipeline stopped, not just that it did. A
 //! [`PipelineDiagnostic`] is a cheap, self-contained snapshot of the
 //! engine taken at trip time: the head of the reorder buffer (the
-//! instruction everything is stuck behind), total in-flight count, and
-//! per-cluster queue occupancy. It is plain data with a `Display`
+//! instruction everything is stuck behind) and the resource it waits
+//! on, total in-flight count, and per-cluster queue occupancy. It is plain data with a `Display`
 //! rendering so error types can embed and print it without holding any
 //! reference into the engine.
 
@@ -19,6 +19,36 @@ pub struct ClusterOccupancy {
     pub dispatch: usize,
     /// Residents across all five reservation stations.
     pub stations: usize,
+}
+
+/// The resource the head of the reorder buffer is waiting on, in the
+/// order the pipeline claims them: a station (and, for a load, a
+/// load-queue entry) to dispatch into, then its operands, then a
+/// store-buffer entry (stores) and a functional unit to issue on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadWait {
+    /// Dispatch: a free slot or write port in its reservation station.
+    ReservationStation,
+    /// Dispatch of a load: a free load-queue entry.
+    LoadQueueEntry,
+    /// Issue: a source operand that has not arrived.
+    Operands,
+    /// Issue of a store: a free store-buffer entry.
+    StoreBufferEntry,
+    /// Issue: a free functional unit of its type.
+    FunctionalUnit,
+}
+
+impl fmt::Display for HeadWait {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            HeadWait::ReservationStation => "reservation station",
+            HeadWait::LoadQueueEntry => "load-queue entry",
+            HeadWait::Operands => "operands",
+            HeadWait::StoreBufferEntry => "store-buffer entry",
+            HeadWait::FunctionalUnit => "functional unit",
+        })
+    }
 }
 
 /// A point-in-time snapshot of the engine's macroscopic state, taken by
@@ -39,6 +69,10 @@ pub struct PipelineDiagnostic {
     pub head_stage: Option<String>,
     /// Cluster the head instruction was assigned to.
     pub head_cluster: Option<u8>,
+    /// The resource the head instruction is waiting on. `None` when the
+    /// ROB is empty or the head is still being steered, executing or
+    /// complete.
+    pub head_waits_on: Option<HeadWait>,
     /// Per-cluster queue occupancy, indexed by cluster id.
     pub clusters: Vec<ClusterOccupancy>,
 }
@@ -53,6 +87,9 @@ impl fmt::Display for PipelineDiagnostic {
         match (self.head_seq, &self.head_stage, self.head_cluster) {
             (Some(seq), Some(stage), Some(cluster)) => {
                 write!(f, "; rob head seq {seq} [{stage}] on cluster {cluster}")?;
+                if let Some(wait) = self.head_waits_on {
+                    write!(f, " blocked on {wait}")?;
+                }
             }
             _ => write!(f, "; rob empty (front-end stall)")?,
         }
@@ -77,6 +114,7 @@ mod tests {
             head_seq: Some(42),
             head_stage: Some("InRs".into()),
             head_cluster: Some(1),
+            head_waits_on: Some(HeadWait::FunctionalUnit),
             clusters: vec![
                 ClusterOccupancy {
                     dispatch: 2,
@@ -90,7 +128,10 @@ mod tests {
         };
         let s = d.to_string();
         assert!(s.contains("cycle 500"), "{s}");
-        assert!(s.contains("rob head seq 42 [InRs] on cluster 1"), "{s}");
+        assert!(
+            s.contains("rob head seq 42 [InRs] on cluster 1 blocked on functional unit"),
+            "{s}"
+        );
         assert!(s.contains("c0:2+3 c1:0+2"), "{s}");
     }
 
@@ -103,6 +144,7 @@ mod tests {
             head_seq: None,
             head_stage: None,
             head_cluster: None,
+            head_waits_on: None,
             clusters: vec![],
         };
         assert!(d.to_string().contains("rob empty"), "{d}");

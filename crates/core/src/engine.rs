@@ -3,22 +3,26 @@
 //! Scheduling is event-driven: completions live in a calendar queue
 //! (popped exactly when due), wakeups traverse per-producer consumer
 //! lists built at rename, and selectable instructions sit in per-RS
-//! ready queues keyed by their operand-arrival cycle. The root
-//! `golden_digests` test pins the engine's observable output.
+//! ready queues keyed by their operand-arrival cycle. Every in-flight
+//! instruction lives in one ROB ring slot from rename to retirement and
+//! is only updated in place; what scheduling learns about it (ready
+//! cycle, critical source) is computed once, when its last operand
+//! resolves. The root `golden_digests` test pins the engine's observable
+//! output.
 
 use crate::arena::{ConsumerArena, EngineArena, NIL};
 use crate::entry::{Entry, SrcState, Stage};
 use crate::fu::FuPool;
 use crate::rob::Rob;
-use crate::sched::{CompletionWheel, ReadyQueue};
-use crate::{EngineConfig, ForwardingStats, ProducerHistory, RsClass};
+use crate::sched::{CompletionWheel, ReadyQueue, StoreRing};
+use crate::{EngineConfig, ForwardingStats, HeadWait, ProducerHistory, RsClass};
 use ctcp_isa::Instruction;
 use ctcp_memory::{AccessKind, CacheStats, DataMemory, StoreForward};
 use ctcp_telemetry::{
     Counter, Hist, InstAttrib, InstTimeline, NullProbe, Probe, RetireSlotKind, SrcAttrib, SrcKind,
 };
 use ctcp_tracecache::{ExecFeedback, ProducerInfo, ProfileFields, TcLocation};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// One instruction delivered by the front-end, already renamed into a
@@ -216,7 +220,13 @@ pub struct Engine {
     rat: [Option<u64>; ctcp_isa::Reg::NUM],
     clusters: Vec<ClusterState>,
     mem: DataMemory,
-    unresolved_stores: BTreeSet<u64>,
+    /// In-flight stores in program order; loads wait behind the oldest
+    /// one whose address is unknown.
+    unresolved_stores: StoreRing,
+    /// One bit per reservation station with filed work, bit
+    /// `cluster * 5 + station`: select visits only these, in ascending
+    /// cluster/station order.
+    live_stations: u64,
     stats: EngineStats,
     fwd: ForwardingStats,
     history: ProducerHistory,
@@ -256,6 +266,7 @@ impl Engine {
             .collect();
         let EngineArena {
             entries,
+            stores,
             mut consumers,
             wheel_slots,
             mut events,
@@ -274,7 +285,8 @@ impl Engine {
             rob: Rob::from_storage(entries, cfg.rob_entries),
             rat: [None; ctcp_isa::Reg::NUM],
             clusters,
-            unresolved_stores: BTreeSet::new(),
+            unresolved_stores: StoreRing::from_storage(stores),
+            live_stations: 0,
             stats: EngineStats::default(),
             fwd: ForwardingStats::default(),
             history: ProducerHistory::default(),
@@ -294,6 +306,7 @@ impl Engine {
     pub fn into_arena(self) -> EngineArena {
         let mut arena = EngineArena {
             entries: self.rob.into_storage(),
+            stores: self.unresolved_stores.into_storage(),
             consumers: self.consumers,
             wheel_slots: self.wheel.into_slots(),
             events: self.scratch_events,
@@ -369,12 +382,73 @@ impl Engine {
             head_seq: head.map(|e| e.seq),
             head_stage: head.map(|e| format!("{:?}", e.stage)),
             head_cluster: head.map(|e| e.cluster),
+            head_waits_on: head.and_then(|e| self.head_wait(e, now)),
             clusters: (0..self.clusters.len())
                 .map(|ci| crate::ClusterOccupancy {
                     dispatch: self.clusters[ci].dispatch_q.len(),
                     stations: (0..5).map(|rsi| self.station_len(ci, rsi)).sum(),
                 })
                 .collect(),
+        }
+    }
+
+    /// The resource the ROB head `e` is waiting on at `now`, judged by
+    /// the same checks dispatch and issue make. `None` while it is still
+    /// in the steering pipeline, executing, or complete, or when nothing
+    /// would refuse it this cycle.
+    fn head_wait(&self, e: &Entry, now: u64) -> Option<HeadWait> {
+        match e.stage {
+            // The head is the oldest entry, so it leads its cluster's
+            // dispatch queue and no station port has been used before it.
+            Stage::AwaitDispatch { at } if at <= now => {
+                self.dispatch_blocker(e.cluster as usize, e.rs, e.inst.op.is_load(), 0)
+            }
+            Stage::InRs => match Self::readiness(&self.cfg, e) {
+                Some((ready, _)) if ready <= now => self.issue_blocker(e, now),
+                _ => Some(HeadWait::Operands),
+            },
+            _ => None,
+        }
+    }
+
+    /// What keeps an instruction of station class `rs` on cluster `ci`
+    /// out of its station this cycle, after `ports_used` writes to that
+    /// station: a full station or spent write ports, then, for a load, a
+    /// full load queue.
+    #[inline]
+    fn dispatch_blocker(
+        &self,
+        ci: usize,
+        rs: RsClass,
+        is_load: bool,
+        ports_used: usize,
+    ) -> Option<HeadWait> {
+        if self.station_len(ci, rs.index()) >= self.cfg.rs_entries
+            || ports_used >= self.cfg.rs_write_ports
+        {
+            Some(HeadWait::ReservationStation)
+        } else if is_load && !self.mem.load_queue_has_room() {
+            Some(HeadWait::LoadQueueEntry)
+        } else {
+            None
+        }
+    }
+
+    /// What keeps station resident `e`, whose operands have arrived and
+    /// whose older store addresses are known, from issuing at `now`: for
+    /// a store, a full store buffer; then a busy functional unit.
+    #[inline]
+    fn issue_blocker(&self, e: &Entry, now: u64) -> Option<HeadWait> {
+        let op = e.inst.op;
+        if op.is_store() && !self.mem.store_buffer_has_room() {
+            Some(HeadWait::StoreBufferEntry)
+        } else if !self.clusters[e.cluster as usize]
+            .fus
+            .available(op.fu_type(), now)
+        {
+            Some(HeadWait::FunctionalUnit)
+        } else {
+            None
         }
     }
 
@@ -439,9 +513,13 @@ impl Engine {
                     0
                 };
             if f.inst.op.is_store() {
-                self.unresolved_stores.insert(f.seq);
+                self.unresolved_stores.push(f.seq);
             }
-            let entry = Entry {
+            if let Some(d) = f.inst.dest {
+                self.rat[d.index()] = Some(f.seq);
+            }
+            self.clusters[cluster as usize].dispatch_q.push_back(f.seq);
+            *self.rob.push_slot() = Entry {
                 seq: f.seq,
                 pc: f.pc,
                 index: f.index,
@@ -455,6 +533,7 @@ impl Engine {
                 cluster,
                 rs,
                 srcs,
+                critical: None,
                 stage: Stage::AwaitDispatch { at: dispatch_at },
                 mispredicted: f.mispredicted,
                 renamed_at: now,
@@ -464,11 +543,6 @@ impl Engine {
                 cons_head: NIL,
                 cons_tail: NIL,
             };
-            if let Some(d) = f.inst.dest {
-                self.rat[d.index()] = Some(f.seq);
-            }
-            self.clusters[cluster as usize].dispatch_q.push_back(f.seq);
-            self.rob.push_back(entry);
         }
         self.steer_counts = cycle_counts;
     }
@@ -641,14 +715,13 @@ impl Engine {
                 }
                 let rs = entry.rs;
                 let is_load = entry.inst.op.is_load();
-                if self.station_len(ci, rs.index()) >= self.cfg.rs_entries
-                    || port_use[rs.index()] >= self.cfg.rs_write_ports
-                {
-                    self.stats.rs_full_stalls += 1;
-                    break;
-                }
-                if is_load && !self.mem.load_queue().has_room() {
-                    break;
+                match self.dispatch_blocker(ci, rs, is_load, port_use[rs.index()]) {
+                    Some(HeadWait::ReservationStation) => {
+                        self.stats.rs_full_stalls += 1;
+                        break;
+                    }
+                    Some(_) => break,
+                    None => {}
                 }
                 if is_load {
                     self.mem.load_queue().insert(seq);
@@ -664,17 +737,7 @@ impl Engine {
                 // If every operand is already resolved, the ready cycle
                 // is final: file it now. Otherwise the last producer's
                 // wakeup will file it.
-                let ready_at = {
-                    let e = self.entry(seq).expect("in ROB");
-                    if e.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. })) {
-                        None
-                    } else {
-                        Some(self.readiness(e).expect("no waiting sources").0)
-                    }
-                };
-                if let Some(at) = ready_at {
-                    self.clusters[ci].queues[rs.index()].push_at(at, seq, now);
-                }
+                self.file(seq, now);
                 dispatched += 1;
             }
         }
@@ -683,7 +746,7 @@ impl Engine {
     /// Computes the operand-arrival cycle of `src` for a consumer on
     /// `cluster`, applying the latency-override knobs. Returns `None`
     /// while the producer is incomplete.
-    fn arrival(&self, src: &SrcState, cluster: u8) -> Option<u64> {
+    fn arrival(cfg: &EngineConfig, src: &SrcState, cluster: u8) -> Option<u64> {
         match *src {
             SrcState::None => Some(0),
             SrcState::RfReady { at } => Some(at),
@@ -694,8 +757,8 @@ impl Engine {
                 same_trace,
                 ..
             } => {
-                let ov = &self.cfg.overrides;
-                let mut lat = self.cfg.forward_latency(pc, cluster);
+                let ov = &cfg.overrides;
+                let mut lat = cfg.forward_latency(pc, cluster);
                 if ov.no_forward_latency
                     || (ov.no_intra_trace_latency && same_trace)
                     || (ov.no_inter_trace_latency && !same_trace)
@@ -709,9 +772,9 @@ impl Engine {
 
     /// Ready cycle and critical-source index for an entry, honouring the
     /// "no critical forwarding latency" idealisation.
-    fn readiness(&self, e: &Entry) -> Option<(u64, Option<usize>)> {
-        let a0 = self.arrival(&e.srcs[0], e.cluster)?;
-        let a1 = self.arrival(&e.srcs[1], e.cluster)?;
+    fn readiness(cfg: &EngineConfig, e: &Entry) -> Option<(u64, Option<usize>)> {
+        let a0 = Self::arrival(cfg, &e.srcs[0], e.cluster)?;
+        let a1 = Self::arrival(cfg, &e.srcs[1], e.cluster)?;
         let has0 = !matches!(e.srcs[0], SrcState::None);
         let has1 = !matches!(e.srcs[1], SrcState::None);
         let critical = match (has0, has1) {
@@ -721,7 +784,7 @@ impl Engine {
             (true, true) => Some(if a1 > a0 { 1 } else { 0 }),
         };
         let mut ready = a0.max(a1);
-        if self.cfg.overrides.no_critical_forward_latency {
+        if cfg.overrides.no_critical_forward_latency {
             if let Some(ci) = critical {
                 if let SrcState::Forwarded { complete, .. } = e.srcs[ci] {
                     let other = if ci == 0 { a1 } else { a0 };
@@ -732,69 +795,86 @@ impl Engine {
         Some((ready, critical))
     }
 
-    /// Issue checks for one selectable instruction. `seq` must sit in a
+    /// Files `seq`, a station resident whose operands have all
+    /// resolved, in its station's ready queue. Its ready cycle and
+    /// critical source are final from here on; the critical source is
+    /// kept on the entry for issue.
+    fn file(&mut self, seq: u64, now: u64) {
+        let e = self.rob.get_mut(seq).expect("filed entries are in ROB");
+        let Some((ready_at, critical)) = Self::readiness(&self.cfg, e) else {
+            // A source is still in flight: its producer's wakeup files it.
+            return;
+        };
+        e.critical = critical.map(|c| c as u8);
+        let (ci, rsi) = (e.cluster as usize, e.rs.index());
+        self.clusters[ci].queues[rsi].push_at(ready_at, seq, now);
+        self.live_stations |= 1 << (ci * 5 + rsi);
+    }
+
+    /// Issue checks for one selectable instruction, whose operands have
+    /// arrived (it sits in a ready list). `seq` must sit in a
     /// reservation station of cluster `ci`. Returns `true` when
     /// execution began (the caller removes it from its station).
-    fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: Option<u64>, ci: usize) -> bool {
+    fn try_issue(&mut self, seq: u64, now: u64, min_unresolved: u64, ci: usize) -> bool {
         let e = self.entry(seq).expect("RS entries are in ROB");
         debug_assert!(matches!(e.stage, Stage::InRs));
-        let Some((ready, critical)) = self.readiness(e) else {
-            return false;
-        };
-        if ready > now {
-            return false;
-        }
+        debug_assert_eq!(e.cluster as usize, ci);
         let op = e.inst.op;
         // No speculative disambiguation: loads wait for all older store
-        // addresses.
-        if op.is_load() {
-            if let Some(ms) = min_unresolved {
-                if ms < seq {
-                    return false;
-                }
-            }
-        }
-        if op.is_store() && !self.mem.store_buffer().has_room() {
+        // addresses. Most failed issue attempts end here.
+        if op.is_load() && min_unresolved < seq {
             return false;
         }
+        if self.issue_blocker(e, now).is_some() {
+            return false;
+        }
+        let critical = e.critical.map(usize::from);
         let lat = EngineConfig::opcode_latency(op);
-        if !self.clusters[ci]
+        let claimed = self.clusters[ci]
             .fus
-            .try_claim(op.fu_type(), now, lat.issue)
-        {
-            return false;
-        }
+            .try_claim(op.fu_type(), now, lat.issue);
+        debug_assert!(claimed, "issue_blocker saw a free unit");
         self.begin_execution(seq, now, lat.exec, critical);
         true
     }
 
-    /// Select: only entries whose operands have arrived are visited;
-    /// non-issuers (FU or memory structural hazards) stay via in-place
-    /// compaction instead of O(n) `retain` removals.
+    /// Select: only stations with filed work, and in them only entries
+    /// whose operands have arrived, are visited; non-issuers (FU or
+    /// memory structural hazards) stay via in-place compaction instead
+    /// of O(n) `retain` removals.
     fn select(&mut self, now: u64) {
-        let min_unresolved = self.unresolved_stores.iter().next().copied();
+        let min_unresolved = self
+            .unresolved_stores
+            .oldest_unresolved()
+            .unwrap_or(u64::MAX);
         let mut issued = [0u32; 8];
-        for ci in 0..self.clusters.len() {
-            for rsi in 0..5 {
-                let queue = &mut self.clusters[ci].queues[rsi];
-                queue.promote(now);
-                if queue.ready.is_empty() {
-                    continue;
+        let mut live = self.live_stations;
+        while live != 0 {
+            let bit = live.trailing_zeros() as usize;
+            live &= live - 1;
+            let (ci, rsi) = (bit / 5, bit % 5);
+            let queue = &mut self.clusters[ci].queues[rsi];
+            queue.promote(now);
+            if queue.ready.is_empty() {
+                continue;
+            }
+            let mut ready = std::mem::take(&mut queue.ready);
+            let mut keep = 0;
+            for i in 0..ready.len() {
+                let seq = ready[i];
+                if self.try_issue(seq, now, min_unresolved, ci) {
+                    issued[ci.min(7)] += 1;
+                    self.clusters[ci].station_occ[rsi] -= 1;
+                } else {
+                    ready[keep] = seq;
+                    keep += 1;
                 }
-                let mut ready = std::mem::take(&mut queue.ready);
-                let mut keep = 0;
-                for i in 0..ready.len() {
-                    let seq = ready[i];
-                    if self.try_issue(seq, now, min_unresolved, ci) {
-                        issued[ci.min(7)] += 1;
-                        self.clusters[ci].station_occ[rsi] -= 1;
-                    } else {
-                        ready[keep] = seq;
-                        keep += 1;
-                    }
-                }
-                ready.truncate(keep);
-                self.clusters[ci].queues[rsi].ready = ready;
+            }
+            ready.truncate(keep);
+            let queue = &mut self.clusters[ci].queues[rsi];
+            queue.ready = ready;
+            if queue.is_empty() {
+                self.live_stations &= !(1 << bit);
             }
         }
         self.observe_issue(&issued);
@@ -830,7 +910,7 @@ impl Engine {
         } else if op.is_store() {
             self.stats.stores += 1;
             let addr = addr.expect("stores carry an address");
-            self.unresolved_stores.remove(&seq);
+            self.unresolved_stores.resolve(seq);
             self.mem.store_buffer().insert(seq, addr);
             self.mem.access(AccessKind::Store, addr, now + 1);
             now + 1 // address + data captured in the buffer
@@ -855,7 +935,7 @@ impl Engine {
     /// begins execution.
     fn record_forwarding(&mut self, seq: u64, critical: Option<usize>) {
         let e = self.entry(seq).expect("in ROB");
-        let consumer_pc = e.pc;
+        let consumer_index = e.index;
         let consumer_cluster = e.cluster;
         let has_input = e.srcs.iter().any(|s| !matches!(s, SrcState::None));
         let critical_forwarded =
@@ -905,7 +985,7 @@ impl Engine {
             } else {
                 self.fwd.forwarded_inputs += 1;
                 self.history
-                    .record(consumer_pc, i, p.pc, critical == Some(i), !p.same_trace);
+                    .record(consumer_index, i, p.pc, critical == Some(i), !p.same_trace);
             }
             if critical == Some(i) {
                 self.fwd.forwarded_critical += 1;
@@ -995,17 +1075,11 @@ impl Engine {
             cluster: producer.cluster,
             same_trace: c.group == producer.group,
         };
-        let in_rs = matches!(c.stage, Stage::InRs);
-        let resolved = !c.srcs.iter().any(|s| matches!(s, SrcState::Waiting { .. }));
-        if !(in_rs && resolved) {
-            // Not dispatched yet (dispatch files it) or still waiting on
-            // another producer (that wakeup files it).
-            return;
+        // Not dispatched yet: dispatch files it. Still waiting on
+        // another producer: that wakeup files it.
+        if matches!(c.stage, Stage::InRs) {
+            self.file(cseq, now);
         }
-        let (ccl, crs) = (c.cluster as usize, c.rs.index());
-        let c = self.rob.get(cseq).expect("in ROB");
-        let (ready_at, _) = self.readiness(c).expect("all sources resolved");
-        self.clusters[ccl].queues[crs].push_at(ready_at, cseq, now);
     }
 
     fn note_completions(&mut self, completions: u64, woken: u64) {
@@ -1056,7 +1130,7 @@ impl Engine {
                         producer_cluster: cluster,
                         hops,
                         complete,
-                        arrival: self.arrival(s, e.cluster).unwrap_or(complete),
+                        arrival: Self::arrival(&self.cfg, s, e.cluster).unwrap_or(complete),
                     }
                 }
             };
@@ -1098,7 +1172,7 @@ impl Engine {
                     RetireSlotKind::Base
                 }
             }
-            Stage::InRs => match self.readiness(head) {
+            Stage::InRs => match Self::readiness(&self.cfg, head) {
                 Some((ready, critical)) if ready > now => {
                     let in_transit = critical.map(|c| head.srcs[c]).is_some_and(|s| {
                         matches!(s, SrcState::Forwarded { cluster, .. }
@@ -1119,43 +1193,28 @@ impl Engine {
 
     fn retire_into(&mut self, now: u64, retired: &mut Vec<RetiredInst>) {
         while retired.len() < self.cfg.retire_width {
-            let Some(head) = self.rob.front() else { break };
-            let Stage::Complete { at } = head.stage else {
+            let Some(e) = self.rob.front() else { break };
+            let Stage::Complete { at } = e.stage else {
                 break;
             };
             if at > now {
                 break;
             }
-            let e = self.rob.pop_front().expect("checked front");
-            if let Stage::Complete { at } = e.stage {
-                self.stats.sum_complete_to_retire += now - at;
-                if self.probe_on {
-                    self.probe.counter(Counter::Retired, 1);
-                    self.probe.timeline(&InstTimeline {
-                        seq: e.seq,
-                        pc: e.pc,
-                        cluster: e.cluster,
-                        renamed_at: e.renamed_at,
-                        dispatched_at: e.dispatched_at,
-                        exec_start: e.exec_start,
-                        complete_at: at,
-                        retired_at: now,
-                    });
-                    self.probe.retire_attrib(&self.attrib_of(&e, at, now));
-                }
+            self.stats.sum_complete_to_retire += now - at;
+            if self.probe_on {
+                self.probe.counter(Counter::Retired, 1);
+                self.probe.timeline(&InstTimeline {
+                    seq: e.seq,
+                    pc: e.pc,
+                    cluster: e.cluster,
+                    renamed_at: e.renamed_at,
+                    dispatched_at: e.dispatched_at,
+                    exec_start: e.exec_start,
+                    complete_at: at,
+                    retired_at: now,
+                });
+                self.probe.retire_attrib(&self.attrib_of(e, at, now));
             }
-            if let Some(d) = e.inst.dest {
-                if self.rat[d.index()] == Some(e.seq) {
-                    self.rat[d.index()] = None;
-                }
-            }
-            if e.inst.op.is_store() {
-                self.mem.store_buffer().mark_retired(e.seq);
-            }
-            if e.inst.op.is_load() {
-                self.mem.load_queue().remove(e.seq);
-            }
-            self.stats.retired += 1;
             retired.push(RetiredInst {
                 seq: e.seq,
                 pc: e.pc,
@@ -1171,6 +1230,20 @@ impl Engine {
                 feedback: e.feedback,
                 retire_cycle: now,
             });
+            let (seq, op, dest) = (e.seq, e.inst.op, e.inst.dest);
+            self.rob.advance_head();
+            if let Some(d) = dest {
+                if self.rat[d.index()] == Some(seq) {
+                    self.rat[d.index()] = None;
+                }
+            }
+            if op.is_store() {
+                self.mem.store_buffer().mark_retired(seq);
+            }
+            if op.is_load() {
+                self.mem.load_queue().remove(seq);
+            }
+            self.stats.retired += 1;
         }
     }
 }

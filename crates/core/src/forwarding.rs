@@ -1,12 +1,12 @@
 //! Forwarding statistics: everything Tables 2, 3, 8 and Figure 4 need.
 
-use ctcp_isa::FxHashMap;
-
 /// Tracks, per static instruction, the last observed forwarding producer
 /// of each source register, to measure producer repetition (Table 3).
 #[derive(Debug, Default)]
 pub struct ProducerHistory {
-    last: FxHashMap<u64, [Option<u64>; 2]>,
+    /// Indexed by the consumer's static instruction index; grown on
+    /// demand up to the program's last consumer.
+    last: Vec<[Option<u64>; 2]>,
     /// (same, total) per source, over all forwarded inputs.
     all: [(u64, u64); 2],
     /// (same, total) per source, over critical inter-trace inputs only.
@@ -14,18 +14,23 @@ pub struct ProducerHistory {
 }
 
 impl ProducerHistory {
-    /// Records a forwarded input: consumer at `consumer_pc` source `src`
-    /// (0 = RS1, 1 = RS2) received data from `producer_pc`.
+    /// Records a forwarded input: the consumer with static instruction
+    /// index `consumer` received source `src` (0 = RS1, 1 = RS2) from the
+    /// producer at `producer_pc`.
     pub fn record(
         &mut self,
-        consumer_pc: u64,
+        consumer: u32,
         src: usize,
         producer_pc: u64,
         critical: bool,
         inter_trace: bool,
     ) {
-        let entry = self.last.entry(consumer_pc).or_default();
-        if let Some(prev) = entry[src] {
+        let i = consumer as usize;
+        if i >= self.last.len() {
+            self.last.resize(i + 1, [None; 2]);
+        }
+        let prev = self.last[i][src].replace(producer_pc);
+        if let Some(prev) = prev {
             let same = prev == producer_pc;
             self.all[src].1 += 1;
             if same {
@@ -38,7 +43,6 @@ impl ProducerHistory {
                 }
             }
         }
-        entry[src] = Some(producer_pc);
     }
 
     /// Fraction of forwarded inputs whose producer repeated, per source
@@ -162,6 +166,20 @@ mod tests {
         h.record(0x100, 0, 0x50, true, false);
         assert_eq!(h.repeat_rate_all(0), 1.0);
         assert_eq!(h.repeat_rate_all(1), 0.0); // only one sample -> no pair yet
+    }
+
+    #[test]
+    fn consumers_keep_separate_histories() {
+        let mut h = ProducerHistory::default();
+        // Interleaved consumers with different producers: each repeats
+        // its own producer, so every sample after the first per consumer
+        // is a repeat.
+        for _ in 0..2 {
+            h.record(7, 0, 0x50, false, false);
+            h.record(0, 0, 0x60, false, false);
+        }
+        assert_eq!(h.repeat_rate_all(0), 1.0);
+        assert_eq!(h.last.len(), 8, "table sized to the last consumer");
     }
 
     #[test]

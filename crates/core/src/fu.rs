@@ -8,28 +8,37 @@ use ctcp_isa::FuType;
 #[derive(Debug, Clone)]
 pub(crate) struct FuPool {
     /// busy_until[fu_type] per instance: the cycle at which the unit can
-    /// accept a new operation.
-    busy: [Vec<u64>; 7],
+    /// accept a new operation. Only the first [`unit_count`] slots of a
+    /// type are real units.
+    busy: [[u64; MAX_UNITS]; 7],
+}
+
+/// The most units of one type a cluster has (its two ALUs).
+const MAX_UNITS: usize = 2;
+
+/// Units of `fu` per cluster.
+#[inline]
+fn unit_count(fu: FuType) -> usize {
+    match fu {
+        FuType::Alu => 2,
+        _ => 1,
+    }
 }
 
 impl FuPool {
     /// Creates an idle pool with the paper's unit counts.
     pub(crate) fn new() -> Self {
-        let count = |t: FuType| -> usize {
-            match t {
-                FuType::Alu => 2,
-                _ => 1,
-            }
-        };
-        let busy = FuType::ALL.map(|t| vec![0u64; count(t)]);
-        FuPool { busy }
+        FuPool {
+            busy: [[0; MAX_UNITS]; 7],
+        }
     }
 
     /// Tries to claim a unit of `fu` at `now` for an operation with the
     /// given issue latency (initiation interval). Returns `true` if a
     /// unit was available.
+    #[inline]
     pub(crate) fn try_claim(&mut self, fu: FuType, now: u64, issue_latency: u64) -> bool {
-        let units = &mut self.busy[fu.index()];
+        let units = &mut self.busy[fu.index()][..unit_count(fu)];
         if let Some(u) = units.iter_mut().find(|u| **u <= now) {
             *u = now + issue_latency.max(1);
             true
@@ -39,9 +48,11 @@ impl FuPool {
     }
 
     /// True if some unit of `fu` is free at `now` (no claim).
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn available(&self, fu: FuType, now: u64) -> bool {
-        self.busy[fu.index()].iter().any(|&u| u <= now)
+        self.busy[fu.index()][..unit_count(fu)]
+            .iter()
+            .any(|&u| u <= now)
     }
 }
 

@@ -58,45 +58,142 @@ impl ClusterGeometry {
         slot / self.slots_per_cluster
     }
 
+    /// This geometry's precomputed lookup tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster count is outside `1..=MAX_CLUSTERS`.
+    #[inline]
+    fn tables(&self) -> &'static GeometryTables {
+        let n = usize::from(self.clusters);
+        assert!(
+            (1..=usize::from(MAX_CLUSTERS)).contains(&n),
+            "cluster count {n} outside 1..={MAX_CLUSTERS}"
+        );
+        &TABLES[self.topology as usize][n - 1]
+    }
+
     /// Number of cluster hops data must traverse from `from` to `to`.
+    #[inline]
     pub fn distance(&self, from: u8, to: u8) -> u8 {
         debug_assert!(from < self.clusters && to < self.clusters);
-        let d = from.abs_diff(to);
-        match self.topology {
-            Topology::Linear => d,
-            Topology::Ring => d.min(self.clusters - d),
-            Topology::FullyConnected => d.min(1),
-        }
+        self.tables().distance[usize::from(from)][usize::from(to)]
     }
 
     /// Clusters at distance 1 from `c`, nearest-to-centre first (ties
     /// by index), as an inline list: steering and FDRT placement ask for
     /// it once per instruction, so it never touches the heap.
+    #[inline]
     pub fn neighbors(&self, c: u8) -> ClusterList {
-        let mut n: ClusterList = (0..self.clusters)
-            .filter(|&o| self.distance(c, o) == 1)
-            .collect();
-        n.sort_unstable_by_key(|&o| (self.centrality(o), o));
-        n
+        self.tables().neighbors[usize::from(c)]
     }
 
     /// A centrality score: the maximum distance from `c` to any cluster
     /// (lower = more central).
+    #[inline]
     pub fn centrality(&self, c: u8) -> u8 {
-        (0..self.clusters)
-            .map(|o| self.distance(c, o))
-            .max()
-            .unwrap_or(0)
+        self.tables().centrality[usize::from(c)]
     }
 
     /// All clusters ordered most-central first (the "middle clusters" the
     /// FDRT strategy funnels unattached producers to), ties broken by
     /// index.
+    #[inline]
     pub fn middle_order(&self) -> ClusterList {
-        let mut order: ClusterList = (0..self.clusters).collect();
-        order.sort_unstable_by_key(|&c| (self.centrality(c), c));
-        order
+        self.tables().middle_order
     }
+}
+
+/// Everything a geometry's cluster queries return, computed once per
+/// (topology, cluster count) at compile time: the steering and placement
+/// paths ask for neighbours and centrality per instruction, and deriving
+/// them takes a distance scan and a sort.
+struct GeometryTables {
+    distance: [[u8; MAX_CLUSTERS as usize]; MAX_CLUSTERS as usize],
+    centrality: [u8; MAX_CLUSTERS as usize],
+    neighbors: [ClusterList; MAX_CLUSTERS as usize],
+    middle_order: ClusterList,
+}
+
+impl GeometryTables {
+    const EMPTY: GeometryTables = GeometryTables {
+        distance: [[0; MAX_CLUSTERS as usize]; MAX_CLUSTERS as usize],
+        centrality: [0; MAX_CLUSTERS as usize],
+        neighbors: [ClusterList::EMPTY; MAX_CLUSTERS as usize],
+        middle_order: ClusterList::EMPTY,
+    };
+}
+
+/// One table per topology (in declaration order) and cluster count
+/// (`clusters - 1`).
+static TABLES: [[GeometryTables; MAX_CLUSTERS as usize]; 3] = [
+    tables_for(Topology::Linear),
+    tables_for(Topology::Ring),
+    tables_for(Topology::FullyConnected),
+];
+
+const fn tables_for(topology: Topology) -> [GeometryTables; MAX_CLUSTERS as usize] {
+    let mut all = [GeometryTables::EMPTY; MAX_CLUSTERS as usize];
+    let mut n = 1;
+    while n <= MAX_CLUSTERS {
+        all[n as usize - 1] = build_tables(topology, n);
+        n += 1;
+    }
+    all
+}
+
+/// Hop count between two of `n` clusters wired as `topology`.
+const fn hops(topology: Topology, n: u8, from: u8, to: u8) -> u8 {
+    let d = from.abs_diff(to);
+    match topology {
+        Topology::Linear => d,
+        Topology::Ring => {
+            if n - d < d {
+                n - d
+            } else {
+                d
+            }
+        }
+        Topology::FullyConnected => {
+            if d == 0 {
+                0
+            } else {
+                1
+            }
+        }
+    }
+}
+
+const fn build_tables(topology: Topology, n: u8) -> GeometryTables {
+    let mut t = GeometryTables::EMPTY;
+    let mut a = 0;
+    while a < n {
+        let mut b = 0;
+        while b < n {
+            let d = hops(topology, n, a, b);
+            t.distance[a as usize][b as usize] = d;
+            if d > t.centrality[a as usize] {
+                t.centrality[a as usize] = d;
+            }
+            b += 1;
+        }
+        a += 1;
+    }
+    // Lists are sorted by (centrality, index): insertion in ascending
+    // index order followed by a stable insertion sort on centrality.
+    let mut c = 0;
+    while c < n {
+        let mut o = 0;
+        while o < n {
+            if t.distance[c as usize][o as usize] == 1 {
+                t.neighbors[c as usize] = t.neighbors[c as usize].inserted_by(o, &t.centrality);
+            }
+            o += 1;
+        }
+        t.middle_order = t.middle_order.inserted_by(c, &t.centrality);
+        c += 1;
+    }
+    t
 }
 
 /// An ordered list of at most [`MAX_CLUSTERS`] cluster ids, held inline
@@ -108,6 +205,25 @@ pub struct ClusterList {
 }
 
 impl ClusterList {
+    const EMPTY: ClusterList = ClusterList {
+        len: 0,
+        ids: [0; MAX_CLUSTERS as usize],
+    };
+
+    /// This list with `c` inserted after every id whose `rank` is at
+    /// most `c`'s: fed ids in ascending order, it keeps the list sorted
+    /// by `(rank, id)`.
+    const fn inserted_by(mut self, c: u8, rank: &[u8; MAX_CLUSTERS as usize]) -> ClusterList {
+        let mut i = self.len as usize;
+        while i > 0 && rank[self.ids[i - 1] as usize] > rank[c as usize] {
+            self.ids[i] = self.ids[i - 1];
+            i -= 1;
+        }
+        self.ids[i] = c;
+        self.len += 1;
+        self
+    }
+
     /// Appends `c`.
     ///
     /// # Panics
@@ -293,6 +409,77 @@ mod tests {
         };
         assert_eq!(*ring.neighbors(0), [1, 7]);
         assert_eq!(*ring.neighbors(7), [0, 6]);
+    }
+
+    /// Reference queries computed directly: a distance formula, then
+    /// scans and sorts over it on every call.
+    mod brute {
+        use super::super::{ClusterGeometry, ClusterList, Topology};
+
+        pub fn distance(g: &ClusterGeometry, from: u8, to: u8) -> u8 {
+            let d = from.abs_diff(to);
+            match g.topology {
+                Topology::Linear => d,
+                Topology::Ring => d.min(g.clusters - d),
+                Topology::FullyConnected => d.min(1),
+            }
+        }
+
+        pub fn centrality(g: &ClusterGeometry, c: u8) -> u8 {
+            (0..g.clusters)
+                .map(|o| distance(g, c, o))
+                .max()
+                .unwrap_or(0)
+        }
+
+        pub fn neighbors(g: &ClusterGeometry, c: u8) -> ClusterList {
+            let mut n: ClusterList = (0..g.clusters)
+                .filter(|&o| distance(g, c, o) == 1)
+                .collect();
+            n.sort_unstable_by_key(|&o| (centrality(g, o), o));
+            n
+        }
+
+        pub fn middle_order(g: &ClusterGeometry) -> ClusterList {
+            let mut order: ClusterList = (0..g.clusters).collect();
+            order.sort_unstable_by_key(|&c| (centrality(g, c), c));
+            order
+        }
+    }
+
+    #[test]
+    fn tables_match_the_brute_force_queries_in_every_geometry() {
+        for topology in [Topology::Linear, Topology::Ring, Topology::FullyConnected] {
+            for clusters in 1..=MAX_CLUSTERS {
+                let g = ClusterGeometry {
+                    clusters,
+                    slots_per_cluster: 4,
+                    topology,
+                };
+                for a in 0..clusters {
+                    for b in 0..clusters {
+                        assert_eq!(
+                            g.distance(a, b),
+                            brute::distance(&g, a, b),
+                            "{g:?} {a}->{b}"
+                        );
+                    }
+                    assert_eq!(g.centrality(a), brute::centrality(&g, a), "{g:?} {a}");
+                    assert_eq!(g.neighbors(a), brute::neighbors(&g, a), "{g:?} {a}");
+                }
+                assert_eq!(g.middle_order(), brute::middle_order(&g), "{g:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster count 9 outside")]
+    fn tables_reject_more_than_max_clusters() {
+        let g = ClusterGeometry {
+            clusters: MAX_CLUSTERS + 1,
+            ..ClusterGeometry::default()
+        };
+        let _ = g.middle_order();
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod sched;
 
 pub use arena::EngineArena;
 pub use config::{EngineConfig, FuLatency, LatencyOverrides};
-pub use diag::{ClusterOccupancy, PipelineDiagnostic};
+pub use diag::{ClusterOccupancy, HeadWait, PipelineDiagnostic};
 pub use engine::{
     Engine, EngineMetrics, EngineStats, FetchedInst, RetiredInst, SteeringMode, TickResult,
 };

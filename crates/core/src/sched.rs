@@ -8,7 +8,11 @@
 //! arrival cycle is fixed the moment its last producer completes (or at
 //! dispatch when nothing is outstanding), so selectable instructions
 //! live in [`ReadyQueue`]s keyed by that cycle instead of being
-//! re-polled with `readiness()` every cycle.
+//! re-polled with `readiness()` every cycle. [`StoreRing`] answers the
+//! loads' one ordering question — the oldest store whose address is
+//! still unknown — without a search tree.
+
+use std::collections::VecDeque;
 
 /// Number of slots in the completion wheel. Must comfortably exceed the
 /// longest single-instruction latency (worst case is a load that misses
@@ -163,6 +167,12 @@ impl ReadyQueue {
         }
     }
 
+    /// True when nothing is filed: no selectable and no pending entry.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ready.is_empty() && self.pending.is_empty()
+    }
+
     /// Moves every pending entry whose arrival cycle has come into the
     /// ready list. Select calls this for every station every cycle, so
     /// the common case — nothing due — is one inlined head check.
@@ -181,6 +191,53 @@ impl ReadyQueue {
             self.ready.insert(i, seq);
         }
         self.pending.drain(..n);
+    }
+}
+
+/// In-flight stores in program order, each flagged once its address
+/// resolves (at execute). Stores resolve out of order, but only the
+/// oldest unresolved one matters to a load, so the resolved prefix is
+/// popped as it forms and the front is always the answer.
+#[derive(Debug, Default)]
+pub(crate) struct StoreRing {
+    /// `(seq, resolved)`, ascending seq; the front is unresolved.
+    stores: VecDeque<(u64, bool)>,
+}
+
+impl StoreRing {
+    /// An empty ring built from recycled storage (cleared here).
+    pub(crate) fn from_storage(mut stores: VecDeque<(u64, bool)>) -> Self {
+        stores.clear();
+        StoreRing { stores }
+    }
+
+    /// Tears the ring down to its storage for arena recycling.
+    pub(crate) fn into_storage(self) -> VecDeque<(u64, bool)> {
+        self.stores
+    }
+
+    /// Appends a renamed store, younger than every store already held.
+    pub(crate) fn push(&mut self, seq: u64) {
+        debug_assert!(self.stores.back().is_none_or(|&(s, _)| s < seq));
+        self.stores.push_back((seq, false));
+    }
+
+    /// Marks the store `seq` resolved, then pops the resolved prefix.
+    pub(crate) fn resolve(&mut self, seq: u64) {
+        let i = self
+            .stores
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .expect("resolving a store that was never renamed");
+        self.stores[i].1 = true;
+        while self.stores.front().is_some_and(|&(_, resolved)| resolved) {
+            self.stores.pop_front();
+        }
+    }
+
+    /// The oldest store whose address is still unknown.
+    #[inline]
+    pub(crate) fn oldest_unresolved(&self) -> Option<u64> {
+        self.stores.front().map(|&(s, _)| s)
     }
 }
 
@@ -245,5 +302,33 @@ mod tests {
         assert_eq!(q.ready, vec![7, 99]);
         q.promote(5);
         assert_eq!(q.ready, vec![7, 13, 42, 99]);
+    }
+
+    #[test]
+    fn store_ring_yields_the_oldest_unresolved_store_out_of_order() {
+        let mut r = StoreRing::default();
+        assert_eq!(r.oldest_unresolved(), None);
+        for seq in [3, 8, 10, 15, 21] {
+            r.push(seq);
+        }
+        assert_eq!(r.oldest_unresolved(), Some(3));
+        // Younger stores resolving first leave the oldest in charge.
+        r.resolve(10);
+        r.resolve(15);
+        assert_eq!(r.oldest_unresolved(), Some(3));
+        // Resolving the oldest pops the whole resolved prefix behind it.
+        r.resolve(3);
+        assert_eq!(r.oldest_unresolved(), Some(8));
+        r.resolve(8);
+        assert_eq!(r.oldest_unresolved(), Some(21));
+        r.push(30);
+        r.resolve(21);
+        assert_eq!(r.oldest_unresolved(), Some(30));
+        r.resolve(30);
+        assert_eq!(r.oldest_unresolved(), None);
+        // Recycled storage starts empty.
+        let mut r = StoreRing::from_storage(r.into_storage());
+        r.push(40);
+        assert_eq!(r.oldest_unresolved(), Some(40));
     }
 }

@@ -58,16 +58,14 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// Higher = more recently used.
-    lru: u64,
-}
-
 /// A set-associative cache with true-LRU replacement. Only tags are
 /// modelled — the simulator never needs cached data, just hit/miss timing.
+///
+/// All `sets × assoc` ways live in two flat arrays, set-major: a set is
+/// the `assoc` consecutive ways starting at `set * assoc`. A way's
+/// recency stamp is the access tick that last touched it (higher = more
+/// recent); stamp `0` marks an invalid way, so a fresh cache is one
+/// zeroed allocation per array.
 ///
 /// # Example
 ///
@@ -86,11 +84,13 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
     stats: CacheStats,
     tick: u64,
     offset_bits: u32,
     index_mask: u64,
+    set_bits: u32,
 }
 
 impl SetAssocCache {
@@ -103,23 +103,16 @@ impl SetAssocCache {
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be 2^n");
+        let ways = num_sets * config.assoc;
         SetAssocCache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.assoc
-                ];
-                num_sets
-            ],
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
             stats: CacheStats::default(),
             tick: 0,
             offset_bits: config.line_bytes.trailing_zeros(),
             index_mask: num_sets as u64 - 1,
+            set_bits: num_sets.trailing_zeros(),
         }
     }
 
@@ -133,13 +126,23 @@ impl SetAssocCache {
         self.stats
     }
 
+    /// The way range of the set `addr` maps to, and its tag.
     #[inline]
-    fn decompose(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr >> self.offset_bits;
-        (
-            (line & self.index_mask) as usize,
-            line >> self.sets.len().trailing_zeros(),
-        )
+        let first = (line & self.index_mask) as usize * self.config.assoc;
+        (first..first + self.config.assoc, line >> self.set_bits)
+    }
+
+    /// The way of `set` holding `tag`, if resident.
+    #[inline]
+    fn find(&self, set: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+        let first = set.start;
+        self.tags[set.clone()]
+            .iter()
+            .zip(&self.stamps[set])
+            .position(|(&t, &stamp)| stamp != 0 && t == tag)
+            .map(|w| first + w)
     }
 
     /// The line-aligned base address of the line containing `addr`.
@@ -148,46 +151,45 @@ impl SetAssocCache {
         addr & !(self.config.line_bytes - 1)
     }
 
-    /// Accesses `addr`, allocating the line on a miss (LRU victim).
+    /// Accesses `addr`, allocating the line on a miss (LRU victim: the
+    /// first way with the lowest stamp, invalid ways first).
     /// Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let (index, tag) = self.decompose(addr);
-        let set = &mut self.sets[index];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = self.find(set.clone(), tag) {
+            self.stamps[way] = self.tick;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("assoc > 0");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.lru = self.tick;
+        let mut victim = set.start;
+        for way in set {
+            if self.stamps[way] < self.stamps[victim] {
+                victim = way;
+            }
+        }
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.tick;
         false
     }
 
     /// Checks residency without updating LRU, stats, or contents.
     pub fn probe(&self, addr: u64) -> bool {
-        let (index, tag) = self.decompose(addr);
-        self.sets[index].iter().any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates the line containing `addr`, if resident. Returns whether
     /// a line was invalidated.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (index, tag) = self.decompose(addr);
-        if let Some(way) = self.sets[index]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            way.valid = false;
-            true
-        } else {
-            false
+        let (set, tag) = self.locate(addr);
+        match self.find(set, tag) {
+            Some(way) => {
+                self.stamps[way] = 0;
+                true
+            }
+            None => false,
         }
     }
 }
@@ -233,6 +235,34 @@ mod tests {
         assert!(c.probe(0x000));
         assert!(!c.probe(0x100));
         assert!(c.probe(0x200));
+    }
+
+    #[test]
+    fn victim_is_the_first_least_recent_way_invalid_ways_first() {
+        // One set of four ways (stride 64 B maps every line to it).
+        let mut c = SetAssocCache::new(CacheConfig {
+            size_bytes: 256,
+            assoc: 4,
+            line_bytes: 64,
+            hit_latency: 1,
+        });
+        let line = |k: u64| k * 64;
+        for k in 0..4 {
+            c.access(line(k));
+        }
+        // Holes at ways 1 and 3: a miss fills the first of them, the
+        // next miss the other, although line 0 is least recent.
+        assert!(c.invalidate(line(3)));
+        assert!(c.invalidate(line(1)));
+        c.access(line(10));
+        assert!(c.probe(line(0)) && c.probe(line(2)) && !c.probe(line(3)));
+        assert_eq!(c.tags[1], 10);
+        c.access(line(11));
+        assert_eq!(c.tags[3], 11);
+        // Full set: the least recently used line (0) goes.
+        c.access(line(12));
+        assert!(!c.probe(line(0)));
+        assert_eq!(c.tags[0], 12);
     }
 
     #[test]

@@ -140,6 +140,16 @@ impl DataMemory {
         self.load_queue.len()
     }
 
+    /// True if a load can take a load-queue entry.
+    pub fn load_queue_has_room(&self) -> bool {
+        self.load_queue.has_room()
+    }
+
+    /// True if a store can take a store-buffer entry.
+    pub fn store_buffer_has_room(&self) -> bool {
+        self.store_buffer.has_room()
+    }
+
     /// L1 data cache statistics.
     pub fn l1_stats(&self) -> crate::CacheStats {
         self.l1.stats()

@@ -90,6 +90,7 @@ mod tests {
             head_seq: Some(3),
             head_stage: Some("InRs".into()),
             head_cluster: Some(0),
+            head_waits_on: None,
             clusters: vec![],
         }
     }

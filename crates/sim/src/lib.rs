@@ -53,7 +53,7 @@ pub use ctcp_core::EngineArena;
 pub use ctcp_core::Topology;
 /// Pipeline snapshot carried by watchdog errors, re-exported so callers
 /// matching on [`SimError`] need not depend on `ctcp-core` directly.
-pub use ctcp_core::{ClusterOccupancy, PipelineDiagnostic};
+pub use ctcp_core::{ClusterOccupancy, HeadWait, PipelineDiagnostic};
 /// JSON support re-exported from the telemetry crate (it moved there so
 /// exporters and the result store share one implementation).
 pub use ctcp_telemetry::json;

@@ -261,3 +261,39 @@ fn all_suite_benchmarks_simulate_cleanly() {
         assert!(r.ipc > 0.05, "{} ipc {:.3}", b.name, r.ipc);
     }
 }
+
+/// `ctcp sweep --benches mcf --strategies base --clusters 8 --insts 20000`
+/// livelocks: the ROB head is a load whose cluster's stations are empty,
+/// but younger loads dispatched from other clusters hold every
+/// load-queue entry. The watchdog's message must name that resource,
+/// not only the head's stage.
+#[test]
+fn livelock_message_names_the_resource_the_head_waits_on() {
+    use ctcp::harness::SweepSpec;
+    use ctcp::sim::{HeadWait, SimError, Topology};
+
+    let program = Benchmark::by_name("mcf").expect("preset").program();
+    let cfg = SweepSpec {
+        insts: 20_000,
+        ..SweepSpec::default()
+    }
+    .cell_config(Strategy::Baseline, 8, Topology::Linear);
+    let err = Simulation::builder(&program)
+        .config(cfg)
+        .watchdog_stall_limit(5_000)
+        .build()
+        .expect("valid 8-cluster geometry")
+        .try_run()
+        .expect_err("the 8-cluster mcf cell livelocks on the load queue");
+    let message = err.to_string();
+    let SimError::Livelock { diagnostic, .. } = err else {
+        panic!("expected a livelock, got: {message}");
+    };
+    assert_eq!(
+        diagnostic.head_waits_on,
+        Some(HeadWait::LoadQueueEntry),
+        "{message}"
+    );
+    assert!(message.contains("AwaitDispatch"), "{message}");
+    assert!(message.contains("blocked on load-queue entry"), "{message}");
+}
